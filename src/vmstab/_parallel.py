@@ -2,8 +2,8 @@
 
 Work is split into fixed-size chunks by node index and results are
 returned in chunk order, so downstream reductions see one canonical
-ordering no matter how many threads ran.  The chunk size is part of the
-run configuration, never derived from the thread count: identical
+ordering no matter how many threads ran.  The chunk size is fixed by
+the caller, never derived from the thread count: identical
 configurations must produce bitwise identical artifacts.  numpy releases
 the GIL inside the heavy kernels, which is where the speedup comes from.
 """

@@ -2,10 +2,12 @@
 
 Q^T weights the backward history of a phase point with (1/T) e^{s/T} ds;
 its strong limit Q^inf replaces the weight with the uniform average over
-the orbit through the point.  Both are evaluated by integrating each grid
-node backward with the trajectory stepper and accumulating, panel by
-panel, the exact exponential moment of a linear interpolant of the
-integrand, so the quadrature step always equals the flow step.
+the orbit through the point.  average_symbol_pack takes either one on a
+phase grid, for a whole block of symbols riding the same trajectories;
+apply_QT_points takes Q^T at arbitrary points without folding.  Both
+integrate each node backward with the trajectory stepper and accumulate,
+panel by panel, the exact exponential moment of a linear interpolant of
+the integrand, so the quadrature step always equals the flow step.
 
 Orbit periodicity is exploited wherever the first-return table reports a
 period tau shorter than the truncation window S_max = T log(1/epsilon):
@@ -17,9 +19,8 @@ node drops from S_max to tau.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .equilibrium import (EquilibriumSpec, FieldProfile, SpeciesProfile,
 from .errors import ConfigError, DriftExceeded
 from .fourier import uniform_grid
 from .trajectories import IntegratorConfig, OrbitTable, make_stepper, orbit_table
+
+# node batch size of the backward passes and first-return tables; it fixes
+# the work decomposition independently of the thread count, so results are
+# bitwise reproducible
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,8 @@ class AveragingConfig:
     to a normalized exponential average with T_big = tbig_factor * period
     over a fallback_horizon window integrated at orbit_dt.
 
-    chunk is the node batch size; it fixes the work decomposition
-    independently of the thread count so results are bitwise reproducible.
+    threads is the number of workers sharing the fixed-size node batches;
+    it never changes a result.
     """
 
     dt: float = 1e-3
@@ -58,7 +64,6 @@ class AveragingConfig:
     fallback_horizon: float = 200.0
     tbig_factor: float = 1e3
     threads: int = 1
-    chunk: int = 2048
 
     def __post_init__(self):
         if not (self.dt > 0.0 and self.orbit_dt > 0.0):
@@ -69,8 +74,8 @@ class AveragingConfig:
         if not (self.orbit_horizon > 0.0 and self.fallback_horizon > 0.0
                 and self.tbig_factor > 0.0):
             raise ConfigError("horizons must be positive")
-        if self.threads < 1 or self.chunk < 1:
-            raise ConfigError("threads and chunk must be at least 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be at least 1")
 
     def s_max(self, T: float) -> float:
         return T * float(np.log(1.0 / self.epsilon_tail))
@@ -144,46 +149,18 @@ class PhaseGrid:
         return float(np.sqrt(np.sum(self.W * self.norm_weight(sign) * mag2)))
 
 
-@dataclass(frozen=True)
-class AveragedSamples:
-    """One averaged symbol at every grid node, with its error terms.
-
-    tail_bound is the exponential weight mass beyond the truncation window,
-    exp(-S_max / T), relative to the sup of the symbol along the tail;
-    folded nodes carry no truncation at all, so for them it is an upper
-    estimate.  quad_bound is the trapezoid term dt^2 / 12 times the largest
-    second time-difference of the integrand observed along the
-    trajectories.  For the infinite-horizon projection, fallback marks the
-    nodes where no return was detected and a long normalized exponential
-    average was substituted for the orbit average.
-    """
-
-    values: np.ndarray
-    T: float
-    tail_bound: float
-    quad_bound: float
-    fallback: Optional[np.ndarray] = None
-
-
 # ---------------------------------------------------------------------------
 # symbol evaluation
 
 
-def _evaluator(symbols: Sequence[Callable]) -> Callable:
-    syms = list(symbols)
-
-    def evaluate(x, v1, v2):
-        out = np.empty((len(syms), x.size), dtype=complex)
-        for m, g in enumerate(syms):
-            val = np.asarray(g(x, v1, v2), dtype=complex)
-            if val.shape != x.shape:
-                raise ConfigError(
-                    "symbols must be vectorized: g(x, v1, v2) on (n,) arrays "
-                    f"returned shape {val.shape} for {x.shape}")
-            out[m] = val
-        return out
-
-    return evaluate
+def _block_size(evaluate: Callable, x, v1, v2) -> int:
+    """Rows of a block evaluator, checked on its block at the start points."""
+    block = np.asarray(evaluate(x, v1, v2))
+    if block.ndim != 2 or block.shape[1] != x.size or block.shape[0] == 0:
+        raise ConfigError(
+            "symbols must be vectorized: a block evaluator on (n,) arrays "
+            f"must return (n_sym, n), got shape {block.shape} for {x.shape}")
+    return block.shape[0]
 
 
 def _powers(z: np.ndarray, k_max: int) -> np.ndarray:
@@ -327,7 +304,7 @@ def _backward_integrals(evaluate, n_sym, X, V1, V2, stop, T, fields, sign, cfg, 
                                          V2[lo:hi], stop[lo:hi], T, fields,
                                          sign, cfg, dt)
 
-    parts = run_chunks(worker, X.size, cfg.chunk, cfg.threads)
+    parts = run_chunks(worker, X.size, _CHUNK, cfg.threads)
     acc = np.concatenate([p[0] for p in parts], axis=1)
     max_d2 = np.max(np.stack([p[1] for p in parts]), axis=0)
     return acc, max_d2
@@ -352,7 +329,7 @@ def orbit_summary(grid: PhaseGrid, sign: int, fields: FieldProfile,
                            fields, sign, cfg=icfg, horizon=cfg.orbit_horizon,
                            return_tol=cfg.return_tol)
 
-    parts = run_chunks(worker, grid.size, cfg.chunk, cfg.threads)
+    parts = run_chunks(worker, grid.size, _CHUNK, cfg.threads)
     table = OrbitTable(tau=np.concatenate([p.tau for p in parts]),
                        winding=np.concatenate([p.winding for p in parts]),
                        residual=np.concatenate([p.residual for p in parts]),
@@ -383,65 +360,6 @@ def _finite_horizon_averages(evaluate, n_sym, T, grid, sign, fields, cfg):
     return values, tail, quad_b
 
 
-def apply_QT_many(symbols: Sequence[Callable], T: float, grid: PhaseGrid,
-                  sign: int, fields: FieldProfile,
-                  cfg: AveragingConfig = AveragingConfig()) -> List[AveragedSamples]:
-    """Exponentially weighted backward averages of several symbols at once.
-
-    All symbols ride the same trajectories; use this over repeated
-    apply_QT calls whenever more than one symbol is needed, since the flow
-    integration dominates the cost.
-    """
-    syms = list(symbols)
-    T = float(T)
-    if not (T > 0.0 and np.isfinite(T)):
-        raise ConfigError(f"averaging horizon must be positive and finite, got {T}")
-    values, tail, quad_b = _finite_horizon_averages(_evaluator(syms), len(syms),
-                                                    T, grid, sign, fields, cfg)
-    return [AveragedSamples(values=values[m], T=T, tail_bound=tail,
-                            quad_bound=float(quad_b[m])) for m in range(len(syms))]
-
-
-def apply_QT(g: Callable, T: float, grid: PhaseGrid, sign: int,
-             fields: FieldProfile,
-             cfg: AveragingConfig = AveragingConfig()) -> AveragedSamples:
-    """(1/T) int_{-S_max}^0 e^{s/T} g(Z(s)) ds at every grid node.
-
-    S_max = T log(1/epsilon_tail); nodes with a detected orbit period
-    shorter than S_max are folded over one exact period instead, which
-    reproduces the untruncated average.  Either way the result differs from
-    the infinite-history value by at most tail_bound times the symbol sup.
-    """
-    return apply_QT_many([g], T, grid, sign, fields, cfg)[0]
-
-
-def apply_QT_points(g: Callable, T: float, x, v1, v2, sign: int,
-                    fields: FieldProfile,
-                    cfg: AveragingConfig = AveragingConfig()) -> np.ndarray:
-    """Backward exponential average of one symbol at arbitrary phase points.
-
-    Unlike apply_QT this takes a point cloud instead of a PhaseGrid and
-    never folds periodic orbits: every point integrates the full truncated
-    window S_max = T log(1/epsilon_tail), so two nearby point sets (for a
-    finite-difference derivative along the flow, say) go through the
-    identical code path and their difference is free of folding seams.
-    Finite horizons only.  Returns the complex averaged values.
-    """
-    T = float(T)
-    if not (T > 0.0 and np.isfinite(T)):
-        raise ConfigError(
-            f"point averaging needs a positive finite horizon, got {T}")
-    X = np.asarray(x, dtype=float).ravel()
-    V1 = np.asarray(v1, dtype=float).ravel()
-    V2 = np.asarray(v2, dtype=float).ravel()
-    if not (X.shape == V1.shape == V2.shape):
-        raise ConfigError("x, v1, v2 must have matching shapes")
-    stop = np.full(X.size, cfg.s_max(T))
-    acc, _ = _backward_integrals(_evaluator([g]), 1, X, V1, V2, stop, T,
-                                 fields, sign, cfg, cfg.dt)
-    return acc[0] / T
-
-
 def _projection_averages(evaluate, n_sym, grid, sign, fields, cfg):
     table = orbit_summary(grid, sign, fields, cfg)
     found = table.found
@@ -469,34 +387,21 @@ def _projection_averages(evaluate, n_sym, grid, sign, fields, cfg):
     return values, quad_b, (~found if not found.all() else np.zeros(grid.size, bool))
 
 
-def apply_Qinf_many(symbols: Sequence[Callable], grid: PhaseGrid, sign: int,
-                    fields: FieldProfile,
-                    cfg: AveragingConfig = AveragingConfig()) -> List[AveragedSamples]:
-    """Orbit averages of several symbols along one shared set of orbits."""
-    syms = list(symbols)
-    values, quad_b, fallback = _projection_averages(_evaluator(syms), len(syms),
-                                                    grid, sign, fields, cfg)
-    return [AveragedSamples(values=values[m], T=np.inf, tail_bound=0.0,
-                            quad_bound=float(quad_b[m]), fallback=fallback)
-            for m in range(len(syms))]
-
-
-def apply_Qinf(g: Callable, grid: PhaseGrid, sign: int, fields: FieldProfile,
-               cfg: AveragingConfig = AveragingConfig()) -> AveragedSamples:
-    """Time average of g over the orbit through each node.
-
-    This is the strong limit of apply_QT: exact (up to flow and trapezoid
-    error) on nodes whose first return is detected, and a long normalized
-    exponential average, flagged in the fallback mask, elsewhere.
-    """
-    return apply_Qinf_many([g], grid, sign, fields, cfg)[0]
-
-
 @dataclass(frozen=True)
 class PackAverages:
-    """Averaged values of every SymbolPack row, as one (n_sym, N) block."""
+    """Averaged values of every symbol row, as one (n_sym, N) block.
 
-    pack: SymbolPack
+    tail_bound is the exponential weight mass beyond the truncation window,
+    exp(-S_max / T), relative to the sup of a symbol along the tail; folded
+    nodes carry no truncation at all, so for them it is an upper estimate.
+    quad_bound is the trapezoid term dt^2 / 12 times the largest second
+    time-difference of any row's integrand observed along the
+    trajectories.  For the infinite-horizon projection, fallback marks the
+    nodes where no return was detected and a long normalized exponential
+    average was substituted for the orbit average.
+    """
+
+    pack: Union[SymbolPack, Callable]
     values: np.ndarray
     T: float
     tail_bound: float
@@ -504,27 +409,74 @@ class PackAverages:
     fallback: Optional[np.ndarray] = None
 
 
-def average_symbol_pack(pack: SymbolPack, T: float, grid: PhaseGrid, sign: int,
-                        fields: FieldProfile,
+def average_symbol_pack(pack: Union[SymbolPack, Callable], T: float,
+                        grid: PhaseGrid, sign: int, fields: FieldProfile,
                         cfg: AveragingConfig = AveragingConfig()) -> PackAverages:
-    """Q^T (finite T) or Q^inf (T = inf) applied to a whole symbol pack."""
-    evaluate = pack.evaluator()
-    if np.isinf(T):
-        values, quad_b, fallback = _projection_averages(evaluate, pack.n_sym,
+    """Q^T (finite T) or Q^inf (T = inf) of a symbol block at every grid node.
+
+    pack is a SymbolPack or a block evaluator (x, v1, v2) -> (n_sym, n);
+    every row rides the same trajectories, so averaging several symbols in
+    one call costs little more than averaging one.  A finite horizon
+    integrates the window S_max = T log(1/epsilon_tail), folded over one
+    exact period on nodes whose orbit closes sooner; the result differs
+    from the infinite-history value by at most tail_bound times the symbol
+    sup.  T = inf takes the time average over the orbit through each node,
+    with the fallback nodes flagged.
+    """
+    infinite = T == np.inf
+    if not infinite:
+        T = float(T)
+        if not (T > 0.0 and np.isfinite(T)):
+            raise ConfigError(
+                f"averaging horizon must be positive and finite, or inf, got {T}")
+    evaluate = pack.evaluator() if isinstance(pack, SymbolPack) else pack
+    n_sym = _block_size(evaluate, grid.X, grid.V1, grid.V2)
+    if infinite:
+        values, quad_b, fallback = _projection_averages(evaluate, n_sym,
                                                         grid, sign, fields, cfg)
         return PackAverages(pack=pack, values=values, T=np.inf, tail_bound=0.0,
                             quad_bound=float(np.max(quad_b)), fallback=fallback)
-    T = float(T)
-    if not T > 0.0:
-        raise ConfigError(f"averaging horizon must be positive, got {T}")
-    values, tail, quad_b = _finite_horizon_averages(evaluate, pack.n_sym, T,
+    values, tail, quad_b = _finite_horizon_averages(evaluate, n_sym, T,
                                                     grid, sign, fields, cfg)
     return PackAverages(pack=pack, values=values, T=T, tail_bound=tail,
                         quad_bound=float(np.max(quad_b)))
 
 
+def apply_QT_points(g: Callable, T: float, x, v1, v2, sign: int,
+                    fields: FieldProfile,
+                    cfg: AveragingConfig = AveragingConfig()) -> np.ndarray:
+    """Backward exponential average of one symbol at arbitrary phase points.
+
+    Unlike average_symbol_pack this takes a point cloud instead of a
+    PhaseGrid and never folds periodic orbits: every point integrates the
+    full truncated window S_max = T log(1/epsilon_tail), so two nearby
+    point sets (for a finite-difference derivative along the flow, say) go
+    through the identical code path and their difference is free of
+    folding seams.  Finite horizons only.  Returns the complex averaged
+    values.
+    """
+    T = float(T)
+    if not (T > 0.0 and np.isfinite(T)):
+        raise ConfigError(
+            f"point averaging needs a positive finite horizon, got {T}")
+    X = np.asarray(x, dtype=float).ravel()
+    V1 = np.asarray(v1, dtype=float).ravel()
+    V2 = np.asarray(v2, dtype=float).ravel()
+    if not (X.shape == V1.shape == V2.shape):
+        raise ConfigError("x, v1, v2 must have matching shapes")
+
+    def evaluate(x, v1, v2):
+        return np.asarray(g(x, v1, v2), dtype=complex)[None]
+
+    _block_size(evaluate, X, V1, V2)
+    stop = np.full(X.size, cfg.s_max(T))
+    acc, _ = _backward_integrals(evaluate, 1, X, V1, V2, stop, T,
+                                 fields, sign, cfg, cfg.dt)
+    return acc[0] / T
+
+
 # ---------------------------------------------------------------------------
-# norm probe and diagnostics
+# norm probe
 
 
 def qt_operator_norm_probe(T: float, grid: PhaseGrid, sign: int,
@@ -558,22 +510,9 @@ def qt_operator_norm_probe(T: float, grid: PhaseGrid, sign: int,
         m = np.stack([np.ones_like(x), v1 / g, v2 / g])
         return np.einsum("tkj,kn,jn->tn", c, full, m)
 
-    values, _, _ = _finite_horizon_averages(evaluate, trials, float(T), grid,
-                                            sign, fields, cfg)
+    values = average_symbol_pack(evaluate, T, grid, sign, fields, cfg).values
     g0 = evaluate(grid.X, grid.V1, grid.V2)
     w = grid.W * grid.norm_weight(sign)
     num = np.sqrt(np.sum(w * (values.real ** 2 + values.imag ** 2), axis=1))
     den = np.sqrt(np.sum(w * (g0.real ** 2 + g0.imag ** 2), axis=1))
     return float(np.max(num / den))
-
-
-def dump_averaged_csv(path, grid: PhaseGrid, samples: AveragedSamples) -> int:
-    """Write node coordinates and averaged values; returns rows written."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "v1", "v2", "value_re", "value_im"])
-        for i in range(grid.size):
-            writer.writerow(["%.17g" % v for v in
-                             (grid.X[i], grid.V1[i], grid.V2[i],
-                              samples.values[i].real, samples.values[i].imag)])
-    return grid.size

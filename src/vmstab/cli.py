@@ -159,8 +159,7 @@ def _build_disc(eq: EquilibriumSpec, cfg: ResolvedConfig,
                           epsilon_tail=cfg["averaging.epsilon_tail"],
                           drift_tol=cfg["averaging.drift_tol"],
                           orbit_dt=cfg["averaging.orbit_dt"],
-                          threads=threads,
-                          chunk=cfg["averaging.chunk"])
+                          threads=threads)
     return DiscretizationSpec(k_max=cfg["operators.k_max"], grid=grid,
                               sym_tol=cfg["operators.sym_tol"], avg=avg)
 

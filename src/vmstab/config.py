@@ -115,7 +115,6 @@ _SCHEMA: Dict[str, Tuple[object, object]] = {
     "averaging.drift_tol": (1e-8, _parse_float),
     "averaging.orbit_dt": (1e-2, _parse_float),
     "averaging.threads": (1, _parse_int),
-    "averaging.chunk": (2048, _parse_int),
 
     "sweep.n": (4, _parse_int),
     "sweep.T_grid": ((1e-3, 1e-2, 1e-1, 1.0, 10.0, np.inf),
@@ -170,7 +169,6 @@ def _validate_values(values: Dict[str, object]) -> None:
         ("operators.quad_v_max", lambda v: v > 0.0, "must be positive"),
         ("averaging.dt", lambda v: v > 0.0, "must be positive"),
         ("averaging.threads", lambda v: v >= 1, "must be at least 1"),
-        ("averaging.chunk", lambda v: v >= 1, "must be at least 1"),
         ("sweep.n", lambda v: v >= 1, "must be at least 1"),
         ("mode.n", lambda v: v >= 1, "must be at least 1"),
         ("mode.fd_step", lambda v: v > 0.0, "must be positive"),

@@ -104,17 +104,6 @@ class SpeciesProfile:
         return float(max(1.0, 1.02 * r + 0.1))
 
 
-def envelope_v_max(c: float, alpha: float, tol: float = 1e-8) -> float:
-    """Cutoff from the decay envelope alone: c (1+<V>)^-(alpha-2) < tol.
-
-    Very conservative for rapidly decaying profiles; catalog species prefer
-    their own suggest_v_max.
-    """
-    bracket = (c / tol) ** (1.0 / (alpha - 2.0))
-    gmax = max(bracket - 1.0, 1.0)
-    return float(np.sqrt(max(gmax * gmax - 1.0, 1e-12) / 2.0))
-
-
 def _calibrate_c(mu_e, mu_p, alpha: float, e_hi: float, p_hi: float) -> float:
     """Smallest envelope amplitude dominating |mu_e| + |mu_p|, doubled."""
     e = np.linspace(0.0, e_hi, 401)

@@ -79,10 +79,8 @@ class PeriodicSeries:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = np.exp((2j * np.pi / self.period) * x)
-        acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
-        for k in range(self.coeffs.size - 2, -1, -1):
-            acc = acc * z + self.coeffs[k]
-        return acc.real if x.ndim else float(acc.real)
+        values = horner_eval(self.coeffs, z)
+        return values if x.ndim else float(values)
 
     def derivative(self) -> "PeriodicSeries":
         k = np.arange(self.coeffs.size)

@@ -95,53 +95,6 @@ class OperatorSet:
     a2_residual: float
     asymmetry_residual: float
 
-    def save(self, path) -> None:
-        np.savez(path, T=self.T, period=self.period, k_max=self.k_max,
-                 nv=self.nv, v_max=self.v_max, A1=self.A1,
-                 A1_full=self.A1_full, A2=self.A2, B=self.B, C=self.C,
-                 D=self.D, l=self.l, b_const_row=self.b_const_row,
-                 a1_residual=self.a1_residual, a2_residual=self.a2_residual,
-                 asymmetry_residual=self.asymmetry_residual)
-
-    @classmethod
-    def load(cls, path) -> "OperatorSet":
-        with np.load(path) as data:
-            return cls(T=float(data["T"]), period=float(data["period"]),
-                       k_max=int(data["k_max"]), nv=int(data["nv"]),
-                       v_max=float(data["v_max"]), A1=data["A1"],
-                       A1_full=data["A1_full"], A2=data["A2"], B=data["B"],
-                       C=data["C"], D=data["D"], l=float(data["l"]),
-                       b_const_row=data["b_const_row"],
-                       a1_residual=float(data["a1_residual"]),
-                       a2_residual=float(data["a2_residual"]),
-                       asymmetry_residual=float(data["asymmetry_residual"]))
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """Dense symmetric matrix of the coupled system, with metadata."""
-
-    matrix: np.ndarray
-    T: float
-    period: float
-    k_max: int
-    n_phi: int
-    n_psi: int
-    asymmetry_residual: float
-
-    def save(self, path) -> None:
-        np.savez(path, matrix=self.matrix, T=self.T, period=self.period,
-                 k_max=self.k_max, n_phi=self.n_phi, n_psi=self.n_psi,
-                 asymmetry_residual=self.asymmetry_residual)
-
-    @classmethod
-    def load(cls, path) -> "BlockOperator":
-        with np.load(path) as data:
-            return cls(matrix=data["matrix"], T=float(data["T"]),
-                       period=float(data["period"]), k_max=int(data["k_max"]),
-                       n_phi=int(data["n_phi"]), n_psi=int(data["n_psi"]),
-                       asymmetry_residual=float(data["asymmetry_residual"]))
-
 
 @dataclass(frozen=True)
 class TruncatedOperator:
@@ -191,7 +144,7 @@ def assemble(T: float, eq: EquilibriumSpec, disc: DiscretizationSpec) -> Operato
     AsymmetryTooLarge when the pre-symmetrization defect of a diagonal
     block exceeds disc.sym_tol relative to the block's max entry.
     """
-    infinite = np.isinf(T)
+    infinite = T == np.inf
     if not infinite:
         T = float(T)
         if not (T > 0.0 and np.isfinite(T)):
@@ -265,6 +218,11 @@ def _corner(T: float, l: float, period: float) -> float:
 
 
 def _block_matrix(A1, A2, B, C, D, corner) -> np.ndarray:
+    """Dense symmetric block matrix of the coupled system.
+
+    Layout: [[-A1, B, C], [B*, A2, -D], [C*, -D*, corner]], where the
+    corner -P (T^{-2} - l) reduces to +P l in the projection limit.
+    """
     n_phi, n_psi = A1.shape[0], A2.shape[0]
     M = np.zeros((n_phi + n_psi + 1, n_phi + n_psi + 1))
     M[:n_phi, :n_phi] = -A1
@@ -277,19 +235,6 @@ def _block_matrix(A1, A2, B, C, D, corner) -> np.ndarray:
     M[-1, n_phi:-1] = -D
     M[-1, -1] = corner
     return M
-
-
-def build_M(ops: OperatorSet, period: float) -> BlockOperator:
-    """Arrange an OperatorSet into the dense symmetric block matrix.
-
-    Layout: [[-A1, B, C], [B*, A2, -D], [C*, -D*, -P (T^{-2} - l)]]; the
-    corner reduces to +P l in the projection limit.
-    """
-    M = _block_matrix(ops.A1, ops.A2, ops.B, ops.C, ops.D,
-                      _corner(ops.T, ops.l, period))
-    return BlockOperator(matrix=M, T=ops.T, period=period, k_max=ops.k_max,
-                         n_phi=ops.A1.shape[0], n_psi=ops.A2.shape[0],
-                         asymmetry_residual=ops.asymmetry_residual)
 
 
 def _projection_basis(A: np.ndarray, n: int, name: str,

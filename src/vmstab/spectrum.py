@@ -111,7 +111,7 @@ def sweep(eq: EquilibriumSpec, disc: DiscretizationSpec, n: int,
     if len(grid) < 2:
         raise ConfigError("horizon grid needs at least a finite anchor and "
                           "the infinite-horizon point")
-    if not np.isinf(grid[-1]):
+    if grid[-1] != np.inf:
         raise ConfigError("horizon grid must end at the infinite horizon")
     finite = grid[:-1]
     if any(np.isinf(t) or not t > 0.0 for t in finite):
@@ -445,11 +445,12 @@ def reconstruct_mode(eq: EquilibriumSpec, disc: DiscretizationSpec, T: float,
                      fd_step: float = 1e-2) -> ModeReconstruction:
     """Rebuild the species perturbations carried by field coefficients.
 
-    f = sign (mu_e phi + mu_p psi - mu_e QT(phi - vhat2 psi - b vhat1))
-    evaluated on the discretization grid.  The reported residual feeds the
-    same reconstruction at points advanced one fd_step along the flow, so
-    both evaluations share the unfolded point-average code path and their
-    difference carries no folding seam.
+    f = sign (mu_e phi + mu_p psi - mu_e Q^T(phi - vhat2 psi - b vhat1))
+    evaluated on the discretization grid, with Q^T taken by
+    apply_QT_points.  The reported residual feeds the same reconstruction
+    at points advanced one fd_step along the flow, so both evaluations
+    share that unfolded point-average code path and their difference
+    carries no folding seam.
     """
     T = float(T)
     if not (T > 0.0 and np.isfinite(T)):

@@ -15,7 +15,6 @@ bitwise reproducible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -208,34 +207,6 @@ def invariant_drift_batch(x, v1, v2, s_max: float, fields: FieldProfile, sign: i
         np.maximum(de, np.abs(e - e0), out=de)
         np.maximum(dp, np.abs(p - p0), out=dp)
     return de, dp
-
-
-def dump_trajectory_csv(path, point: PhasePoint, s_max: float, fields: FieldProfile,
-                        sign: int, cfg: IntegratorConfig = IntegratorConfig(),
-                        row_cap: int = 100000) -> int:
-    """Write (s, x, v1, v2, e, p) samples of the backward trajectory.
-
-    Rows are capped; returns the number written.
-    """
-    n = max(1, int(np.ceil(s_max / cfg.dt)))
-    stride = max(1, int(np.ceil((n + 1) / row_cap)))
-    Y, _ = _pack(point)
-    step = make_stepper(fields, sign, cfg)
-    h = -s_max / n
-    written = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "x", "v1", "v2", "e", "p"])
-        for i in range(n + 1):
-            if i > 0:
-                Y = step(Y, h)
-            if i % stride == 0:
-                e, p = invariants_of(Y[0], Y[1], Y[2], fields, sign)
-                writer.writerow(["%.17g" % val for val in
-                                 (i * h, np.mod(Y[0][0], fields.period),
-                                  Y[1][0], Y[2][0], e[0], p[0])])
-                written += 1
-    return written
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmstab import averaging
 from vmstab.averaging import (
     AveragingConfig,
     PhaseGrid,
-    apply_QT,
-    apply_QT_many,
     apply_QT_points,
-    apply_Qinf,
-    dump_averaged_csv,
+    average_symbol_pack,
     orbit_summary,
     qt_operator_norm_probe,
 )
@@ -70,6 +68,17 @@ def small_grid(well_eq):
 def _vhat(v1, v2):
     g = np.sqrt(1.0 + v1 * v1 + v2 * v2)
     return v1 / g, v2 / g
+
+
+def _block(*symbols):
+    """Block evaluator stacking scalar symbols as rows."""
+    return lambda x, v1, v2: np.stack(
+        [np.asarray(g(x, v1, v2), dtype=complex) for g in symbols])
+
+
+def _average(g, T, grid, sign, fields, cfg):
+    """The entry point applied to one scalar symbol."""
+    return average_symbol_pack(_block(g), T, grid, sign, fields, cfg)
 
 
 def _character(k, period):
@@ -128,24 +137,24 @@ def test_phase_grid_layout_and_weights(well_eq):
 
 def test_qt_constant_is_one(well_eq, well_grid):
     one = lambda x, v1, v2: np.ones_like(x)
-    s = apply_QT(one, 1.0, well_grid, +1, well_eq.fields, CFG)
+    s = _average(one, 1.0, well_grid, +1, well_eq.fields, CFG)
     assert s.T == 1.0
     assert s.tail_bound <= CFG.epsilon_tail * (1.0 + 1e-12)
-    assert np.max(np.abs(s.values - 1.0)) <= 2e-10
+    assert np.max(np.abs(s.values[0] - 1.0)) <= 2e-10
 
 
 def test_qt_free_streaming_matches_symbol(free_eq, free_grid):
     cfg = replace(CFG, dt=5e-4)
     period = free_eq.fields.period
-    symbols = [_character(k, period) for k in (1, 2, 3)]
+    symbols = _block(*(_character(k, period) for k in (1, 2, 3)))
     vh1, _ = _vhat(free_grid.V1, free_grid.V2)
     worst = 0.0
     for T in (0.1, 1.0, 10.0):
-        outs = apply_QT_many(symbols, T, free_grid, +1, free_eq.fields, cfg)
-        for k, s in zip((1, 2, 3), outs):
+        out = average_symbol_pack(symbols, T, free_grid, +1, free_eq.fields, cfg)
+        for k, values in zip((1, 2, 3), out.values):
             w = 2.0 * np.pi * k / period
             expected = np.exp(1j * w * free_grid.X) / (1.0 + 1j * w * vh1 * T)
-            rel = np.max(np.abs(s.values - expected) / np.abs(expected))
+            rel = np.max(np.abs(values - expected) / np.abs(expected))
             worst = max(worst, rel)
     assert worst <= 1e-6
 
@@ -153,16 +162,22 @@ def test_qt_free_streaming_matches_symbol(free_eq, free_grid):
 def test_qt_fixes_functions_of_invariants(well_eq, well_grid):
     g = _invariant_symbol(well_eq.fields, -1)
     expected = g(well_grid.X, well_grid.V1, well_grid.V2)
-    s = apply_QT(g, 0.7, well_grid, -1, well_eq.fields, CFG)
+    s = _average(g, 0.7, well_grid, -1, well_eq.fields, CFG)
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(s.values - expected)) <= 1e-8 * scale
+    assert np.max(np.abs(s.values[0] - expected)) <= 1e-8 * scale
 
 
 def test_qt_rejects_bad_horizon(well_eq, well_grid):
     one = lambda x, v1, v2: np.ones_like(x)
-    for T in (0.0, -1.0, np.inf, np.nan):
+    for T in (0.0, -1.0, -np.inf, np.nan):
         with pytest.raises(ConfigError):
-            apply_QT(one, T, well_grid, +1, well_eq.fields, CFG)
+            _average(one, T, well_grid, +1, well_eq.fields, CFG)
+
+
+def test_pack_rejects_unvectorized_symbols(well_eq, small_grid):
+    scalar = lambda x, v1, v2: 1.0
+    with pytest.raises(ConfigError, match="vectorized"):
+        _average(scalar, 0.1, small_grid, +1, well_eq.fields, CFG)
 
 
 def test_qt_points_free_streaming_off_grid(free_eq):
@@ -187,10 +202,10 @@ def test_qt_points_matches_grid_variant_unfolded(well_eq, small_grid):
     # at T = 0.1 the window S_max = 2.3 stays below every orbit period, so
     # the grid variant never folds and both paths do the identical panel sum
     g = _smooth_symbol(well_eq.fields.period)
-    grid_out = apply_QT(g, 0.1, small_grid, -1, well_eq.fields, CFG)
+    grid_out = _average(g, 0.1, small_grid, -1, well_eq.fields, CFG)
     pts = apply_QT_points(g, 0.1, small_grid.X, small_grid.V1, small_grid.V2,
                           -1, well_eq.fields, CFG)
-    assert np.array_equal(pts, grid_out.values)
+    assert np.array_equal(pts, grid_out.values[0])
 
 
 def test_qt_points_rejects_infinite_horizon(well_eq, small_grid):
@@ -201,21 +216,25 @@ def test_qt_points_rejects_infinite_horizon(well_eq, small_grid):
 
 
 def test_qt_many_matches_single_calls(well_eq, small_grid):
+    # rows averaged together equal rows averaged alone, bitwise
     period = well_eq.fields.period
     g1 = _character(1, period)
     g2 = _smooth_symbol(period)
-    outs = apply_QT_many([g1, g2], 0.2, small_grid, +1, well_eq.fields, CFG)
-    for g, out in zip((g1, g2), outs):
-        single = apply_QT(g, 0.2, small_grid, +1, well_eq.fields, CFG)
-        assert np.array_equal(out.values, single.values)
+    together = average_symbol_pack(_block(g1, g2), 0.2, small_grid, +1,
+                                   well_eq.fields, CFG)
+    for g, values in zip((g1, g2), together.values):
+        single = _average(g, 0.2, small_grid, +1, well_eq.fields, CFG)
+        assert np.array_equal(values, single.values[0])
 
 
-def test_qt_thread_count_invariance(well_eq, small_grid):
-    # same chunking, different thread counts: bitwise identical values
+def test_qt_thread_count_invariance(well_eq, small_grid, monkeypatch):
+    # same chunking (17 nodes, so 64 nodes make 4 chunks), different
+    # thread counts: bitwise identical values
+    monkeypatch.setattr(averaging, "_CHUNK", 17)
     g = _smooth_symbol(well_eq.fields.period)
-    base = apply_QT(g, 0.2, small_grid, +1, well_eq.fields, replace(CFG, chunk=17))
-    threaded = apply_QT(g, 0.2, small_grid, +1, well_eq.fields,
-                        replace(CFG, chunk=17, threads=4))
+    base = _average(g, 0.2, small_grid, +1, well_eq.fields, CFG)
+    threaded = _average(g, 0.2, small_grid, +1, well_eq.fields,
+                        replace(CFG, threads=4))
     assert np.array_equal(base.values, threaded.values)
 
 
@@ -224,8 +243,8 @@ def test_qt_identity_limit_small_t(well_eq, small_grid):
     g0 = g(small_grid.X, small_grid.V1, small_grid.V2)
     errs = []
     for T in (0.2, 0.05, 0.0125):
-        s = apply_QT(g, T, small_grid, +1, well_eq.fields, CFG)
-        errs.append(small_grid.weighted_norm(s.values - g0, +1))
+        s = _average(g, T, small_grid, +1, well_eq.fields, CFG)
+        errs.append(small_grid.weighted_norm(s.values[0] - g0, +1))
     # first-order vanishing: each 4x horizon cut should cut the error ~4x
     assert errs[1] <= 0.4 * errs[0]
     assert errs[2] <= 0.4 * errs[1]
@@ -235,10 +254,11 @@ def test_qt_lipschitz_in_horizon(well_eq, small_grid):
     g = _smooth_symbol(well_eq.fields.period)
     gn = small_grid.weighted_norm(g(small_grid.X, small_grid.V1, small_grid.V2), +1)
     S = 1.0
-    mid = apply_QT(g, S, small_grid, +1, well_eq.fields, CFG)
+    mid = _average(g, S, small_grid, +1, well_eq.fields, CFG)
     for T in (0.5, 2.0):
-        other = apply_QT(g, T, small_grid, +1, well_eq.fields, CFG)
-        ratio = small_grid.weighted_norm(other.values - mid.values, +1) / abs(T - S)
+        other = _average(g, T, small_grid, +1, well_eq.fields, CFG)
+        ratio = small_grid.weighted_norm(other.values[0] - mid.values[0],
+                                         +1) / abs(T - S)
         assert ratio <= 4.0 * gn
 
 
@@ -247,11 +267,11 @@ def test_qt_converges_to_orbit_average(well_eq, small_grid):
     table = orbit_summary(small_grid, +1, well_eq.fields, cfg)
     assert table.found.all()
     g = _smooth_symbol(well_eq.fields.period)
-    limit = apply_Qinf(g, small_grid, +1, well_eq.fields, cfg)
+    limit = _average(g, np.inf, small_grid, +1, well_eq.fields, cfg)
     errs = []
     for T in (10.0, 1e2, 1e3, 1e4):
-        s = apply_QT(g, T, small_grid, +1, well_eq.fields, cfg)
-        errs.append(small_grid.weighted_norm(s.values - limit.values, +1))
+        s = _average(g, T, small_grid, +1, well_eq.fields, cfg)
+        errs.append(small_grid.weighted_norm(s.values[0] - limit.values[0], +1))
     for a, b in zip(errs, errs[1:]):
         assert b <= 1.05 * a
     assert errs[-1] <= 1e-2 * errs[0]
@@ -262,10 +282,10 @@ def test_tail_bound_honesty(free_eq, free_grid):
     # period (at least 2 pi / max |vhat1| = 6.8 here): the two runs then
     # share their panel sequence and differ by pure tail mass
     g = _character(1, free_eq.fields.period)
-    s1 = apply_QT(g, 0.1, free_grid, +1, free_eq.fields, CFG)
+    s1 = _average(g, 0.1, free_grid, +1, free_eq.fields, CFG)
     # squaring epsilon doubles the truncation window
     doubled = replace(CFG, epsilon_tail=CFG.epsilon_tail ** 2)
-    s2 = apply_QT(g, 0.1, free_grid, +1, free_eq.fields, doubled)
+    s2 = _average(g, 0.1, free_grid, +1, free_eq.fields, doubled)
     assert np.max(np.abs(s2.values - s1.values)) <= s1.tail_bound + 1e-15
 
 
@@ -273,7 +293,7 @@ def test_qt_propagates_drift_budget(well_eq, small_grid):
     g = _smooth_symbol(well_eq.fields.period)
     cfg = replace(CFG, dt=0.5, drift_tol=1e-16)
     with pytest.raises(DriftExceeded):
-        apply_QT(g, 0.05, small_grid, +1, well_eq.fields, cfg)
+        _average(g, 0.05, small_grid, +1, well_eq.fields, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +303,18 @@ def test_qt_propagates_drift_budget(well_eq, small_grid):
 def test_qinf_fixes_functions_of_invariants(well_eq, well_grid):
     g = _invariant_symbol(well_eq.fields, +1)
     expected = g(well_grid.X, well_grid.V1, well_grid.V2)
-    s = apply_Qinf(g, well_grid, +1, well_eq.fields, CFG)
+    s = _average(g, np.inf, well_grid, +1, well_eq.fields, CFG)
     assert np.isinf(s.T)
     assert s.tail_bound == 0.0
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(s.values - expected)) <= 1e-8 * scale
+    assert np.max(np.abs(s.values[0] - expected)) <= 1e-8 * scale
 
 
 def test_qinf_free_streaming_characters_vanish(free_eq, free_grid):
     vh1, _ = _vhat(free_grid.V1, free_grid.V2)
     assert np.min(np.abs(vh1)) > 0.05
-    s = apply_Qinf(_character(2, free_eq.fields.period), free_grid, +1,
-                   free_eq.fields, CFG)
+    s = _average(_character(2, free_eq.fields.period), np.inf, free_grid, +1,
+                 free_eq.fields, CFG)
     assert np.max(np.abs(s.values)) <= 1e-8
 
 
@@ -304,9 +324,9 @@ def test_qinf_parity_odd_in_v1(well_eq, well_grid):
     table = orbit_summary(well_grid, +1, well_eq.fields, CFG)
     assert table.found.all()
     g = lambda x, v1, v2: _vhat(v1, v2)[0]
-    s = apply_Qinf(g, well_grid, +1, well_eq.fields, CFG)
+    s = _average(g, np.inf, well_grid, +1, well_eq.fields, CFG)
     nx, nv = well_grid.x.size, QUAD_WELL.nv
-    vals = s.values.reshape(nx, nv, nv)
+    vals = s.values[0].reshape(nx, nv, nv)
     assert np.max(np.abs(vals + vals[:, ::-1, :])) <= 1e-7
 
 
@@ -315,10 +335,10 @@ def test_qinf_fallback_records_substitution(well_eq, small_grid):
     cfg = replace(CFG, orbit_horizon=5.0, fallback_horizon=30.0)
     g = _invariant_symbol(well_eq.fields, +1)
     expected = g(small_grid.X, small_grid.V1, small_grid.V2)
-    s = apply_Qinf(g, small_grid, +1, well_eq.fields, cfg)
+    s = _average(g, np.inf, small_grid, +1, well_eq.fields, cfg)
     assert s.fallback is not None and s.fallback.any()
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(s.values - expected)) <= 1e-6 * scale
+    assert np.max(np.abs(s.values[0] - expected)) <= 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +368,6 @@ def test_norm_probe_validates_degree(well_eq, well_grid):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
-
-
-def test_averaged_csv_dump(tmp_path, well_eq, small_grid):
-    g = _smooth_symbol(well_eq.fields.period)
-    s = apply_QT(g, 0.1, small_grid, +1, well_eq.fields, CFG)
-    path = tmp_path / "averages.csv"
-    rows = dump_averaged_csv(path, small_grid, s)
-    assert rows == small_grid.size
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    assert set(data.dtype.names) == {"x", "v1", "v2", "value_re", "value_im"}
-    assert np.array_equal(data["x"], small_grid.X)
-    assert np.array_equal(data["value_re"] + 1j * data["value_im"], s.values)
-
-
-# ---------------------------------------------------------------------------
 # properties
 
 
@@ -385,11 +389,12 @@ def test_qt_linear_and_contractive(well_eq, small_grid, coeffs, scale):
     def combo(x, v1, v2):
         return scale * g1(x, v1, v2) + g2(x, v1, v2)
 
-    outs = apply_QT_many([g1, g2, combo], 0.05, small_grid, +1, well_eq.fields, CFG)
-    lin = scale * outs[0].values + outs[1].values
+    outs = average_symbol_pack(_block(g1, g2, combo), 0.05, small_grid, +1,
+                               well_eq.fields, CFG).values
+    lin = scale * outs[0] + outs[1]
     ref = max(np.max(np.abs(lin)), 1.0)
-    assert np.max(np.abs(outs[2].values - lin)) <= 1e-12 * ref
+    assert np.max(np.abs(outs[2] - lin)) <= 1e-12 * ref
 
     gn = small_grid.weighted_norm(g1(small_grid.X, small_grid.V1, small_grid.V2), +1)
     if gn > 1e-9:
-        assert small_grid.weighted_norm(outs[0].values, +1) <= (1.0 + 5e-3) * gn
+        assert small_grid.weighted_norm(outs[0], +1) <= (1.0 + 5e-3) * gn

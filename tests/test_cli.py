@@ -115,6 +115,12 @@ def test_zero_threads_exits_2(tmp_path):
                  "0"]) == 2
 
 
+def test_negative_infinite_grid_end_exits_2(tmp_path):
+    # a grid ending at -inf must not be read as ending at the T = inf limit
+    assert main(["sweep", "--out", str(tmp_path), "--set",
+                 "sweep.T_grid=1e-3,1,-inf"] + VACUUM) == 2
+
+
 def test_pipeline_error_exits_3(tmp_path):
     # declared half-width far too small for the catalog weight tail
     assert main(["ergodic", "--case", "weighted", "--out", str(tmp_path),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from vmstab.averaging import AveragingConfig, PhaseGrid, apply_QT_many
+from vmstab.averaging import AveragingConfig, PhaseGrid, average_symbol_pack
 from vmstab.equilibrium import (
     FieldProfile,
     SpeciesProfile,
@@ -29,11 +29,10 @@ from vmstab.errors import (
 )
 from vmstab.fourier import basis_wavenumbers, real_basis_matrix
 from vmstab.operators import (
-    BlockOperator,
     DiscretizationSpec,
-    OperatorSet,
+    _block_matrix,
+    _corner,
     assemble,
-    build_M,
     schur_infty,
     truncate,
 )
@@ -102,6 +101,12 @@ def vacuum_disc(vacuum_eq):
     return DiscretizationSpec(k_max=2, grid=grid, avg=CFG)
 
 
+def _full_M(ops):
+    """The untruncated block matrix, in the layout truncate builds."""
+    return _block_matrix(ops.A1, ops.A2, ops.B, ops.C, ops.D,
+                         _corner(ops.T, ops.l, ops.period))
+
+
 def _c0_same_rule(eq, quad):
     """-sum_pm int mu_e dv on the grid's own velocity rule (zero fields)."""
     total = 0.0
@@ -136,7 +141,8 @@ def test_disc_spec_validates(free_eq):
 
 
 def test_assemble_rejects_bad_horizon(vacuum_eq, vacuum_disc):
-    for T in (0.0, -2.0, np.nan):
+    # -inf is no projection limit: it must not be read as T = +inf
+    for T in (0.0, -2.0, np.nan, -np.inf):
         with pytest.raises(ConfigError):
             assemble(T, vacuum_eq, vacuum_disc)
 
@@ -157,15 +163,15 @@ def test_vacuum_assembly_is_multiplier_diagonal(vacuum_eq, vacuum_disc):
     assert ops.l == 0.0
     assert ops.asymmetry_residual <= 1e-14
 
-    block = build_M(ops, vacuum_eq.fields.period)
+    M = _full_M(ops)
     n_phi, n_psi = ops.A1.shape[0], ops.A2.shape[0]
-    assert block.matrix.shape == (n_phi + n_psi + 1,) * 2
-    expected = np.zeros_like(block.matrix)
+    assert M.shape == (n_phi + n_psi + 1,) * 2
+    expected = np.zeros_like(M)
     expected[:n_phi, :n_phi] = -ops.A1
     expected[n_phi:n_phi + n_psi, n_phi:n_phi + n_psi] = ops.A2
     expected[-1, -1] = -vacuum_eq.fields.period * T ** -2
-    assert np.allclose(block.matrix, expected, atol=1e-13)
-    assert np.max(np.abs(block.matrix - block.matrix.T)) <= 1e-12
+    assert np.allclose(M, expected, atol=1e-13)
+    assert np.max(np.abs(M - M.T)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +223,8 @@ def test_free_inf_corner_and_couplings(free_eq, free_disc, free_inf):
     # the b couplings vanish identically at the projection limit
     assert np.max(np.abs(free_inf.C)) == 0.0
     assert np.max(np.abs(free_inf.D)) == 0.0
-    block = build_M(free_inf, free_eq.fields.period)
-    assert block.matrix[-1, -1] == pytest.approx(
+    M = _full_M(free_inf)
+    assert M[-1, -1] == pytest.approx(
         free_eq.fields.period * free_inf.l, rel=1e-14)
 
 
@@ -236,9 +242,9 @@ def test_well_t1_symmetry_bookkeeping(well_t1):
     # boundary layer; percent-level is what this velocity rule resolves
     assert well_t1.asymmetry_residual <= 2e-2
     assert abs(well_t1.l) <= 10.0
-    M = build_M(well_t1, well_t1.period)
-    assert np.max(np.abs(M.matrix - M.matrix.T)) <= 1e-12
-    assert M.matrix[-1, -1] == pytest.approx(
+    M = _full_M(well_t1)
+    assert np.max(np.abs(M - M.T)) <= 1e-12
+    assert M[-1, -1] == pytest.approx(
         -well_t1.period * (1.0 - well_t1.l), rel=1e-12)
 
 
@@ -250,8 +256,9 @@ def test_well_t1_asymmetry_gate(well_eq, well_disc):
 
 
 def test_well_t1_entry_matches_direct_averaging(well_eq, well_disc, well_t1):
-    # recompute one A1 entry pair from the public averaging operator and
-    # the basis matrices, bypassing the packed assembly path
+    # recompute one A1 entry pair from the averaging entry point, fed a
+    # block of two real basis symbols instead of the assembly's SymbolPack
+    # of complex characters, and the basis matrices
     grid = well_disc.grid
     fields = well_eq.fields
     period = fields.period
@@ -269,9 +276,12 @@ def test_well_t1_entry_matches_direct_averaging(well_eq, well_disc, well_t1):
     for sign, prof in ((+1, well_eq.plus), (-1, well_eq.minus)):
         e, p = invariants_of(grid.X, grid.V1, grid.V2, fields, sign)
         wme = grid.W * prof.mu_e(e, p)
-        qj, qk = apply_QT_many([sym_cos1, sym_sin2], 1.0, grid, sign, fields, CFG)
-        raw[0, 1] += float(np.sum(wme * (qk.values.real - Phi[k]) * Phi[j]))
-        raw[1, 0] += float(np.sum(wme * (qj.values.real - Phi[j]) * Phi[k]))
+        qj, qk = average_symbol_pack(
+            lambda x, v1, v2: np.stack([sym_cos1(x, v1, v2),
+                                        sym_sin2(x, v1, v2)]),
+            1.0, grid, sign, fields, CFG).values
+        raw[0, 1] += float(np.sum(wme * (qk.real - Phi[k]) * Phi[j]))
+        raw[1, 0] += float(np.sum(wme * (qj.real - Phi[j]) * Phi[k]))
     expected = 0.5 * (raw[0, 1] + raw[1, 0])
     scale = np.max(np.abs(well_t1.A1_full))
     assert abs(well_t1.A1_full[j, k] - expected) <= 1e-10 * scale
@@ -292,9 +302,9 @@ def test_m_continuity_in_horizon(well_eq, well_disc):
     # horizons by construction; strip them and compare the averaged terms
     mats = []
     for T in (0.1, 0.2):
-        block = build_M(assemble(T, well_eq, well_disc), well_eq.fields.period)
-        m = block.matrix[:-1, :-1].copy()
-        psi = np.arange(block.n_phi, m.shape[0])
+        ops = assemble(T, well_eq, well_disc)
+        m = _full_M(ops)[:-1, :-1].copy()
+        psi = np.arange(ops.A1.shape[0], m.shape[0])
         m[psi, psi] -= T ** -2
         mats.append(m)
     diff = np.max(np.abs(mats[0] - mats[1]))
@@ -305,12 +315,12 @@ def test_m_continuity_in_horizon(well_eq, well_disc):
 # truncation
 
 
-def test_truncate_full_projection_is_unitary_equivalence(free_eq, free_inf):
+def test_truncate_full_projection_is_unitary_equivalence(free_inf):
     full = truncate(free_inf, free_inf, n=5)
-    M = build_M(free_inf, free_eq.fields.period)
-    assert full.M_n.shape == M.matrix.shape
+    M = _full_M(free_inf)
+    assert full.M_n.shape == M.shape
     ev_full = np.linalg.eigvalsh(full.M_n)
-    ev_block = np.linalg.eigvalsh(M.matrix)
+    ev_block = np.linalg.eigvalsh(M)
     assert np.max(np.abs(ev_full - ev_block)) <= 1e-10
 
 
@@ -336,14 +346,14 @@ def test_truncate_projector_spans_lowest_modes(free_inf):
     assert tr.M_n.shape == (5, 5)
 
 
-def test_truncate_matches_projected_blocks(well_eq, well_t1, well_inf):
+def test_truncate_matches_projected_blocks(well_t1, well_inf):
     tr = truncate(well_t1, well_inf, n=2, gap_tol=1e-9)
     U = np.zeros((well_t1.A1.shape[0] + well_t1.A2.shape[0] + 1, 5))
     U[:4, :2] = tr.P_n
     U[4:9, 2:4] = tr.Q_n
     U[-1, -1] = 1.0
-    M = build_M(well_t1, well_eq.fields.period)
-    assert np.allclose(tr.M_n, U.T @ M.matrix @ U, atol=1e-12)
+    M = _full_M(well_t1)
+    assert np.allclose(tr.M_n, U.T @ M @ U, atol=1e-12)
     assert np.max(np.abs(tr.M_n - tr.M_n.T)) <= 1e-12
 
 
@@ -388,30 +398,3 @@ def test_schur_kernel_overlap_raises(free_inf):
 def test_schur_requires_projection_limit(well_t1):
     with pytest.raises(ConfigError):
         schur_infty(well_t1)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def test_operator_set_roundtrip(tmp_path, well_t1, free_inf):
-    for tag, ops in (("t1", well_t1), ("inf", free_inf)):
-        path = tmp_path / f"ops_{tag}.npz"
-        ops.save(path)
-        back = OperatorSet.load(path)
-        assert back.T == ops.T and back.period == ops.period
-        assert back.k_max == ops.k_max
-        for name in ("A1", "A1_full", "A2", "B", "C", "D", "b_const_row"):
-            assert np.array_equal(getattr(back, name), getattr(ops, name))
-        assert back.l == ops.l
-        assert back.asymmetry_residual == ops.asymmetry_residual
-
-
-def test_block_operator_roundtrip(tmp_path, well_t1):
-    block = build_M(well_t1, well_t1.period)
-    path = tmp_path / "block.npz"
-    block.save(path)
-    back = BlockOperator.load(path)
-    assert np.array_equal(back.matrix, block.matrix)
-    assert back.T == block.T and back.period == block.period
-    assert back.n_phi == block.n_phi and back.n_psi == block.n_psi

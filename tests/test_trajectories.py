@@ -5,8 +5,8 @@ from scipy.integrate import quad
 
 from vmstab.equilibrium import FieldProfile, preset_equilibrium, invariants_of
 from vmstab.errors import ConfigError, DriftExceeded, NoReturn
-from vmstab.trajectories import (IntegratorConfig, PhasePoint, dump_trajectory_csv,
-                                 flow, invariant_drift, orbit_info, orbit_table)
+from vmstab.trajectories import (IntegratorConfig, PhasePoint, flow,
+                                 invariant_drift, orbit_info, orbit_table)
 
 
 @pytest.fixture(scope="module")
@@ -154,19 +154,6 @@ def test_oversized_table_step_rejected(well):
     with pytest.raises(ConfigError):
         orbit_table(np.array([0.0]), np.array([1.0]), np.array([0.0]),
                     well.fields, +1, IntegratorConfig(dt=2.0))
-
-
-def test_trajectory_csv_dump(tmp_path, well):
-    path = tmp_path / "traj.csv"
-    dump_trajectory_csv(path, PhasePoint(0.5, 1.0, 0.2), 2.0, well.fields, +1,
-                        IntegratorConfig(dt=1e-2))
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].split(",") == ["s", "x", "v1", "v2", "e", "p"]
-    first = np.array(rows[1].split(","), dtype=float)
-    assert first[0] == 0.0 and np.isclose(first[1], 0.5)
-    e0, p0 = map(float, rows[1].split(",")[4:])
-    e_end, p_end = map(float, rows[-1].split(",")[4:])
-    assert abs(e_end - e0) < 1e-10 and abs(p_end - p0) < 1e-10
 
 
 @given(x=st.floats(0.0, 6.28), v1=st.floats(-2.0, 2.0), v2=st.floats(-2.0, 2.0))
