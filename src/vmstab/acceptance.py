@@ -34,7 +34,7 @@ from .ergodic_lab import (LineDiscretization, ergodic_norm_L2sigma,
 from .operators import DiscretizationSpec, assemble, truncate
 from .spectrum import count_negatives, find_crossing, \
     infinity_count_identity, reconstruct_mode, sweep
-from .trajectories import IntegratorConfig, make_stepper
+from .trajectories import make_stepper
 
 QUAD = VelocityQuadrature.build(8, 7.5)
 
@@ -127,7 +127,7 @@ def _free_streaming_oracle():
 
 
 @_check(2, "invariant drift on the full grid")
-def _invariant_drift():
+def _drift_on_full_grid():
     # every node of an inhomogeneous grid integrated over the full
     # backward window at the default step; then a coarse halving pair in
     # the truncation-dominated regime must gain a fifth-order factor
@@ -136,7 +136,7 @@ def _invariant_drift():
     fields = eq.fields
 
     def max_drift(dt: float, horizon: float) -> float:
-        stepper = make_stepper(fields, +1, IntegratorConfig(dt=dt))
+        stepper = make_stepper(fields, +1)
         Y = np.array([grid.X, grid.V1, grid.V2])
         e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, +1)
         steps = int(np.ceil(horizon / dt))
@@ -147,7 +147,7 @@ def _invariant_drift():
         return float(max(np.max(np.abs(e1 - e0)), np.max(np.abs(p1 - p0))))
 
     s_max = AveragingConfig().s_max(1.0)
-    drift = max_drift(IntegratorConfig().dt, s_max)
+    drift = max_drift(1e-2, s_max)
     coarse = max_drift(0.5, 10.0)
     fine = max_drift(0.25, 10.0)
     ratio = coarse / fine
@@ -315,12 +315,25 @@ def _tail_projectors():
 
 @_check(12, "thread-count determinism")
 def _determinism():
+    # 136 x-nodes times a 4x4 velocity rule is 2176 nodes per species, two
+    # node batches, so threads 4 and 8 really share the work
     import contextlib
     import io
+    from .averaging import _CHUNK
     from .cli import main as cli_main
-    base = ["criterion", "--set", "equilibrium.nx=16", "--set",
-            "operators.quad_nv=6", "--set", "operators.quad_v_max=6",
-            "--set", "averaging.dt=5e-3"]
+    from .config import validate_config
+    overrides = ["equilibrium.nx=16", "operators.n_x=136",
+                 "operators.quad_nv=4", "operators.quad_v_max=6",
+                 "averaging.dt=5e-3"]
+    cfg = validate_config(overrides=overrides)
+    nodes = cfg["operators.n_x"] * cfg["operators.quad_nv"] ** 2
+    batches = -(-nodes // _CHUNK)
+    if batches < 2:
+        return False, (f"{nodes} nodes per species fit in one batch of "
+                       f"{_CHUNK}; no thread pool would start")
+    base = ["criterion"]
+    for item in overrides:
+        base += ["--set", item]
     digests = []
     with tempfile.TemporaryDirectory() as tmp:
         for threads in ("1", "4", "8"):
@@ -336,7 +349,8 @@ def _determinism():
                 if p.name != "manifest.json"})
     ok = digests[0] == digests[1] == digests[2]
     return ok, (f"{len(digests[0])} artifacts bitwise identical across "
-                f"threads 1, 4, 8")
+                f"threads 1, 4, 8; {nodes} nodes per species in "
+                f"{batches} batches")
 
 
 # ---------------------------------------------------------------------------

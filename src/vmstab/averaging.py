@@ -29,7 +29,7 @@ from .equilibrium import (EquilibriumSpec, FieldProfile, SpeciesProfile,
                           VelocityQuadrature, invariants_of)
 from .errors import ConfigError, DriftExceeded
 from .fourier import uniform_grid
-from .trajectories import IntegratorConfig, OrbitTable, make_stepper, orbit_table
+from .trajectories import OrbitTable, make_stepper, orbit_table
 
 # node batch size of the backward passes and first-return tables; it fixes
 # the work decomposition independently of the thread count, so results are
@@ -239,7 +239,7 @@ def _chunk_backward_integrals(evaluate, n_sym, X, V1, V2, stop, T,
     if n == 0:
         return acc, max_d2
     period = fields.period
-    step = make_stepper(fields, sign, IntegratorConfig(dt=dt, drift_tol=cfg.drift_tol))
+    step = make_stepper(fields, sign)
     finite = T is not None and np.isfinite(T)
 
     Y = np.array([X, V1, V2], dtype=float)
@@ -322,11 +322,11 @@ def orbit_summary(grid: PhaseGrid, sign: int, fields: FieldProfile,
     entry = grid._orbit_cache.get(key)
     if entry is not None and entry[0] is fields:
         return entry[1]
-    icfg = IntegratorConfig(dt=cfg.orbit_dt, drift_tol=cfg.drift_tol)
 
     def worker(lo, hi):
         return orbit_table(grid.X[lo:hi], grid.V1[lo:hi], grid.V2[lo:hi],
-                           fields, sign, cfg=icfg, horizon=cfg.orbit_horizon,
+                           fields, sign, cfg.orbit_dt,
+                           horizon=cfg.orbit_horizon,
                            return_tol=cfg.return_tol)
 
     parts = run_chunks(worker, grid.size, _CHUNK, cfg.threads)

@@ -180,12 +180,6 @@ def _fallback_warnings(eq: EquilibriumSpec,
     return warnings
 
 
-def _asymmetry_warnings(ops) -> List[str]:
-    return [f"assembly asymmetry residual {ops.asymmetry_residual:.3e} "
-            f"at T = {ops.T:g} (A1 {ops.a1_residual:.3e}, "
-            f"A2 {ops.a2_residual:.3e})"]
-
-
 # ---------------------------------------------------------------------------
 # subcommand pipelines: each returns (extras, warnings)
 
@@ -231,8 +225,13 @@ def _run_criterion(cfg: ResolvedConfig, out: Path,
     _write_json(out / "criterion.json",
                 {"criterion": payload, "count_identities": identities,
                  "equilibrium": eq.label})
-    warnings = _asymmetry_warnings(ops_inf) + _fallback_warnings(eq, disc)
-    return {"unstable_predicted": payload["unstable_predicted"]}, warnings
+    # a breach of sym_tol raised AsymmetryTooLarge inside assemble, so the
+    # residuals below it are measurements, not warnings
+    extras = {"unstable_predicted": payload["unstable_predicted"],
+              "asymmetry_residual": ops_inf.asymmetry_residual,
+              "a1_residual": ops_inf.a1_residual,
+              "a2_residual": ops_inf.a2_residual}
+    return extras, _fallback_warnings(eq, disc)
 
 
 def _run_sweep(cfg: ResolvedConfig, out: Path,

@@ -10,24 +10,19 @@ where <v> = sqrt(1 + v1^2 + v2^2), sign = +1 / -1 tags the species, and the
 potentials generate the static fields E1 = -phi0', B = psi0'.
 
 The module owns the velocity quadrature used everywhere, the built-in species
-catalog, the field-profile container, and the self-consistent potential
-solver (damped fixed-point iteration on the two periodic Poisson problems).
+catalog, the field-profile container, and the named presets, each of which
+records how far its fields are from solving the static field equations.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    NeutralityViolation,
-    NonConvergence,
-    QuadratureTailError,
-)
+from .errors import ConfigError, QuadratureTailError
 from .fourier import PeriodicSeries, spectral_derivative, uniform_grid
 
 # ---------------------------------------------------------------------------
@@ -65,7 +60,6 @@ class SpeciesProfile:
     mu_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
     alpha: float
     c: float
-    params: dict = field(default_factory=dict)
     # Gauss-Legendre points per axis that resolve this profile; narrow
     # momentum features (gaussian bumps) need more than a bare maxwellian.
     nv_hint: int = 24
@@ -142,7 +136,6 @@ def species_from_catalog(name: str, **params) -> SpeciesProfile:
             return np.zeros(np.broadcast(np.asarray(e), np.asarray(p)).shape)
 
         p_hi = 10.0
-        used = {"amplitude": A, "beta": beta}
 
     elif name == "shifted-maxwellian":
         gamma = float(params.pop("p_width", 1.0))
@@ -161,7 +154,6 @@ def species_from_catalog(name: str, **params) -> SpeciesProfile:
             return -2.0 * gamma * (p - p0) * mu(e, p)
 
         p_hi = abs(p0) + max(10.0, 8.0 / np.sqrt(gamma))
-        used = {"amplitude": A, "beta": beta, "p_width": gamma, "p_shift": p0}
 
     elif name == "bimaxwellian":
         gamma = float(params.pop("p_width", 1.0))
@@ -184,7 +176,6 @@ def species_from_catalog(name: str, **params) -> SpeciesProfile:
                     * (-2.0 * gamma) * ((p - p0) * _g(p, p0) + (p + p0) * _g(p, -p0)))
 
         p_hi = abs(p0) + max(10.0, 8.0 / np.sqrt(gamma))
-        used = {"amplitude": A, "beta": beta, "p_width": gamma, "p_shift": p0}
 
     else:
         raise ConfigError(f"unknown species catalog name {name!r}")
@@ -197,33 +188,7 @@ def species_from_catalog(name: str, **params) -> SpeciesProfile:
         # gaussian momentum features of width 1/sqrt(2 gamma) need denser rules
         nv_hint = int(4 * np.ceil(max(32.0, 32.0 * np.sqrt(gamma)) / 4.0))
     return SpeciesProfile(name=name, mu=mu, mu_e=mu_e, mu_p=mu_p,
-                          alpha=alpha, c=c, params=used, nv_hint=nv_hint)
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    passed: bool
-    max_ratio: float
-    argmax_e: float
-    argmax_p: float
-
-
-def validate_integrability(profile: SpeciesProfile, sample_count: int = 40000,
-                           e_hi: float = 60.0, p_hi: float = 30.0) -> IntegrabilityReport:
-    """Check |mu_e| + |mu_p| < c (1+|e|)^(-alpha) on a deterministic sample mesh."""
-    n = max(int(np.sqrt(sample_count)), 8)
-    e = np.linspace(0.0, e_hi, n)
-    p = np.linspace(-p_hi, p_hi, n)
-    E, P = np.meshgrid(e, p, indexing="ij")
-    envelope = profile.c * (1.0 + np.abs(E)) ** (-profile.alpha)
-    ratio = (np.abs(profile.mu_e(E, P)) + np.abs(profile.mu_p(E, P))) / envelope
-    idx = np.unravel_index(np.argmax(ratio), ratio.shape)
-    return IntegrabilityReport(
-        passed=bool(ratio[idx] < 1.0),
-        max_ratio=float(ratio[idx]),
-        argmax_e=float(E[idx]),
-        argmax_p=float(P[idx]),
-    )
+                          alpha=alpha, c=c, nv_hint=nv_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +253,6 @@ class VelocityQuadrature:
 # field profiles
 
 
-def _check_derivative_pair(f: np.ndarray, g: np.ndarray, period: float,
-                           what: str, rel_tol: float = 1e-9) -> None:
-    d = spectral_derivative(f, period)
-    scale = max(float(np.max(np.abs(g))), 1e-30)
-    err = float(np.max(np.abs(d - g)))
-    if err > rel_tol * scale + 1e-12:
-        raise ConfigError(f"{what}: derivative mismatch {err:.3e} (scale {scale:.3e})")
-
-
 @dataclass(frozen=True)
 class FieldProfile:
     """Static potentials and fields on the period cell.
@@ -335,24 +291,6 @@ class FieldProfile:
                    E1_series=e1, B_series=dpsi)
 
     @classmethod
-    def from_arrays(cls, x: np.ndarray, phi0: np.ndarray, psi0: np.ndarray,
-                    E1_0: np.ndarray, B0: np.ndarray, period: float) -> "FieldProfile":
-        _check_derivative_pair(phi0, -np.asarray(E1_0), period, "phi0 vs -E1_0")
-        _check_derivative_pair(psi0, np.asarray(B0), period, "psi0 vs B0")
-        phi = PeriodicSeries.from_values(phi0, period)
-        psi = PeriodicSeries.from_values(psi0, period)
-        prof = cls.from_series(phi, psi, len(x))
-        if not np.allclose(prof.x, x, atol=1e-12):
-            raise ConfigError("x grid must be uniform on [0, period)")
-        # keep the caller's samples verbatim so persisted profiles round-trip
-        # to the exact floats; the series only serve pointwise evaluation
-        return replace(prof,
-                       phi0=np.asarray(phi0, dtype=float).copy(),
-                       psi0=np.asarray(psi0, dtype=float).copy(),
-                       E1_0=np.asarray(E1_0, dtype=float).copy(),
-                       B0=np.asarray(B0, dtype=float).copy())
-
-    @classmethod
     def zero(cls, period: float, nx: int) -> "FieldProfile":
         z = PeriodicSeries.from_coefficients([0.0], period)
         return cls.from_series(z, z, nx)
@@ -367,12 +305,6 @@ class FieldProfile:
     def psi(self, x):
         return self.psi_series(x)
 
-    def E1(self, x):
-        return self.E1_series(x)
-
-    def B(self, x):
-        return self.B_series(x)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -381,18 +313,6 @@ class FieldProfile:
                 writer.writerow(["%.17g" % v for v in
                                  (self.x[i], self.phi0[i], self.psi0[i],
                                   self.E1_0[i], self.B0[i])])
-
-    @classmethod
-    def from_csv(cls, path, period: Optional[float] = None) -> "FieldProfile":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        x = np.atleast_1d(data["x"])
-        if period is None:
-            # uniform grid: spacing times point count recovers the period
-            period = float(x[1] - x[0]) * x.size if x.size > 1 else 1.0
-        return cls.from_arrays(x, np.atleast_1d(data["phi0"]),
-                               np.atleast_1d(data["psi0"]),
-                               np.atleast_1d(data["E1_0"]),
-                               np.atleast_1d(data["B0"]), period)
 
 
 # ---------------------------------------------------------------------------
@@ -489,65 +409,6 @@ def equilibrium_from_parts(label: str, plus: SpeciesProfile, minus: SpeciesProfi
     residual = float(max(np.max(np.abs(r_phi)), np.max(np.abs(r_psi))))
     return EquilibriumSpec(label=label, plus=plus, minus=minus, fields=fields,
                            quad=quad, consistency_residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# self-consistent potentials
-
-
-def solve_potentials(plus: SpeciesProfile, minus: SpeciesProfile, period: float,
-                     nx: int = 64, nv: Optional[int] = None, v_max: Optional[float] = None,
-                     tol: float = 1e-10, max_iter: int = 200,
-                     damping: float = 0.5,
-                     neutrality_tol: float = 1e-8) -> FieldProfile:
-    """Damped fixed-point solve of the coupled periodic field equations.
-
-    Iterates potentials -> moments -> zero-mean Poisson solves until the
-    max-norm residual of both equations falls below tol.  Raises
-    NeutralityViolation when the period average of rho0 is structurally
-    nonzero (no periodic solution exists) and NonConvergence when the
-    iteration stalls.
-    """
-    if v_max is None:
-        v_max = max(plus.suggest_v_max(), minus.suggest_v_max())
-    if nv is None:
-        nv = max(plus.nv_hint, minus.nv_hint)
-    quad = VelocityQuadrature.build(nv, v_max)
-    x = uniform_grid(period, nx)
-    k = 2.0 * np.pi * np.fft.rfftfreq(nx, d=period / nx)
-    inv_k2 = np.zeros_like(k)
-    inv_k2[1:] = 1.0 / k[1:] ** 2
-
-    phi = np.zeros(nx)
-    psi = np.zeros(nx)
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        prof = FieldProfile.from_series(PeriodicSeries.from_values(phi, period),
-                                        PeriodicSeries.from_values(psi, period), nx)
-        rho, j2 = moments(plus, minus, prof, x, quad)
-        scale = float(np.max(np.abs(rho)) + np.max(np.abs(j2))) + 1e-300
-        mean_rho = float(np.mean(rho))
-        if abs(mean_rho) > 0.25 * scale:
-            raise NeutralityViolation(mean_rho, scale)
-
-        # phi'' = -rho, psi'' = -j2, solved mode-by-mode on the zero-mean part
-        phi_new = np.fft.irfft(np.fft.rfft(rho) * inv_k2, n=nx)
-        psi_new = np.fft.irfft(np.fft.rfft(j2) * inv_k2, n=nx)
-        phi = (1.0 - damping) * phi + damping * phi_new
-        psi = (1.0 - damping) * psi + damping * psi_new
-
-        r_phi = spectral_derivative(phi, period, 2) + rho
-        r_psi = spectral_derivative(psi, period, 2) + j2
-        residual = float(max(np.max(np.abs(r_phi)), np.max(np.abs(r_psi))))
-        if residual <= tol:
-            if abs(mean_rho) > neutrality_tol * scale:
-                raise NeutralityViolation(mean_rho, scale)
-            break
-    else:
-        raise NonConvergence(max_iter, residual, tol)
-
-    return FieldProfile.from_series(PeriodicSeries.from_values(phi, period),
-                                    PeriodicSeries.from_values(psi, period), nx)
 
 
 # ---------------------------------------------------------------------------

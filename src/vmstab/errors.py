@@ -28,31 +28,6 @@ class QuadratureTailError(VmstabError):
         )
 
 
-class NonConvergence(VmstabError):
-    """Fixed-point iteration failed to reach the residual target."""
-
-    def __init__(self, iterations: int, residual: float, target: float):
-        self.iterations = iterations
-        self.residual = residual
-        self.target = target
-        super().__init__(
-            f"no convergence after {iterations} iterations: "
-            f"residual {residual:.3e} > target {target:.3e}"
-        )
-
-
-class NeutralityViolation(VmstabError):
-    """Period-averaged charge density cannot vanish, so the periodic
-    electrostatic problem has no solution."""
-
-    def __init__(self, mean_rho: float, scale: float):
-        self.mean_rho = mean_rho
-        self.scale = scale
-        super().__init__(
-            f"mean charge density {mean_rho:.3e} (scale {scale:.3e}) cannot vanish"
-        )
-
-
 class DriftExceeded(VmstabError):
     """Invariant drift along an integrated trajectory exceeded its budget."""
 
@@ -62,14 +37,6 @@ class DriftExceeded(VmstabError):
         super().__init__(
             f"invariant drift {measured:.3e} exceeds budget {budget:.3e}"
         )
-
-
-class NoReturn(VmstabError):
-    """Orbit did not return to its start within the integration horizon."""
-
-    def __init__(self, horizon: float):
-        self.horizon = horizon
-        super().__init__(f"no orbit return within horizon {horizon:.6g}")
 
 
 class AsymmetryTooLarge(VmstabError):

@@ -72,10 +72,6 @@ class PeriodicSeries:
         a[0] = a[0].real
         return cls(period=float(period), coeffs=a)
 
-    @property
-    def nmodes(self) -> int:
-        return self.coeffs.size
-
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = np.exp((2j * np.pi / self.period) * x)

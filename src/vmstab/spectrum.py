@@ -33,7 +33,7 @@ from .errors import (BranchAmbiguity, ConfigError, NoCrossing,
 from .fourier import real_basis_derivative_matrix, real_basis_matrix
 from .operators import (DiscretizationSpec, OperatorSet, assemble,
                         schur_infty, truncate)
-from .trajectories import IntegratorConfig, make_stepper
+from .trajectories import make_stepper
 
 # relative eigenvalue-zero threshold: eigenvalues within this fraction of
 # the largest matrix entry are treated as kernel, not as sign carriers
@@ -132,8 +132,6 @@ def sweep(eq: EquilibriumSpec, disc: DiscretizationSpec, n: int,
             anchor_expected = tr.P_n.shape[1] + 1
         records.append(_record(T, n, tr.M_n))
     tr = truncate(inf_set, inf_set, n, gap_tol)
-    if anchor_expected is None:  # unreachable: grid has a finite anchor
-        anchor_expected = tr.P_n.shape[1] + 1
     records.append(_record(np.inf, n, tr.M_n))
 
     if records[0].negatives != anchor_expected:
@@ -456,6 +454,8 @@ def reconstruct_mode(eq: EquilibriumSpec, disc: DiscretizationSpec, T: float,
     if not (T > 0.0 and np.isfinite(T)):
         raise ConfigError(f"mode reconstruction needs a finite positive "
                           f"horizon, got {T}")
+    if not fd_step > 0.0:
+        raise ConfigError(f"fd_step must be positive, got {fd_step}")
     dim = 2 * disc.k_max + 1
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -485,9 +485,7 @@ def reconstruct_mode(eq: EquilibriumSpec, disc: DiscretizationSpec, T: float,
     residual = 0.0
     for sign, prof in ((+1, eq.plus), (-1, eq.minus)):
         x0, v10, v20 = grid.X, grid.V1, grid.V2
-        step = make_stepper(fields, sign,
-                            IntegratorConfig(dt=fd_step,
-                                             drift_tol=disc.avg.drift_tol))
+        step = make_stepper(fields, sign)
         y1 = step(np.array([x0, v10, v20], dtype=float), fd_step)
         x1 = np.mod(y1[0], period)
 

@@ -5,60 +5,23 @@ The flow integrated here is
     x' = v1/<v>,   v1' = sign (E1(x) + v2/<v> B(x)),   v2' = -sign v1/<v> B(x),
 
 which conserves the invariants e and p of the matching species exactly in the
-continuum.  The integrator is a fixed-step explicit Runge-Kutta scheme: the
-order-6 default is built from the modified-midpoint rule with Richardson
-extrapolation over substep counts (2, 4, 6), whose even error expansion makes
-the extrapolated one-step map order 6 by construction.  Fixed steps keep
-trajectory samples aligned with the ergodic-average quadrature and make runs
-bitwise reproducible.
+continuum.  The integrator is a fixed-step explicit scheme built from the
+modified-midpoint rule with Richardson extrapolation over substep counts
+(2, 4, 6), whose even error expansion makes the extrapolated one-step map
+order 6 by construction.  Fixed steps keep trajectory samples aligned with
+the ergodic-average quadrature and make runs bitwise reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
-from .equilibrium import FieldProfile, invariants_of, lorentz_factor
-from .errors import ConfigError, DriftExceeded, NoReturn
+from .equilibrium import FieldProfile, lorentz_factor
+from .errors import ConfigError
 from .fourier import horner_eval
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A single phase-space state; x is reported wrapped into [0, period)."""
-
-    x: float
-    v1: float
-    v2: float
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step integrator settings.
-
-    dt is the macro step; drift_tol budgets invariant drift per unit time
-    when flow() verifies a completed integration.
-    """
-
-    dt: float = 0.01
-    order: int = 6
-    drift_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.order not in (4, 6):
-            raise ConfigError(f"integrator order must be 4 or 6, got {self.order}")
-        if not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-
-
-@dataclass(frozen=True)
-class OrbitInfo:
-    kind: str          # "passing" or "trapped"
-    period: float      # first-return time tau > 0
-    winding: int       # signed x-cells traversed per tau (0 for trapped)
-    residual: float    # scaled-metric mismatch at the detected return
 
 
 @dataclass(frozen=True)
@@ -104,14 +67,6 @@ def make_rhs(fields: FieldProfile, sign: int) -> Callable[[np.ndarray], np.ndarr
     return rhs
 
 
-def _rk4_step(Y, h, rhs):
-    k1 = rhs(Y)
-    k2 = rhs(Y + (0.5 * h) * k1)
-    k3 = rhs(Y + (0.5 * h) * k2)
-    k4 = rhs(Y + h * k3)
-    return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _midpoint_chain(Y, h, rhs, n, f0):
     hs = h / n
     z_prev = Y
@@ -132,81 +87,10 @@ def _gbs6_step(Y, h, rhs):
     return t31 + (t31 - t21) / 8.0
 
 
-def make_stepper(fields: FieldProfile, sign: int, cfg: IntegratorConfig):
+def make_stepper(fields: FieldProfile, sign: int):
     """One-step map (Y, h) -> Y_next; h may be a scalar or per-node array."""
     rhs = make_rhs(fields, sign)
-    base = _gbs6_step if cfg.order == 6 else _rk4_step
-    return lambda Y, h: base(Y, h, rhs)
-
-
-# ---------------------------------------------------------------------------
-# public flow operations
-
-
-def _pack(point) -> Tuple[np.ndarray, bool]:
-    if isinstance(point, PhasePoint):
-        return np.array([[point.x], [point.v1], [point.v2]], dtype=float), True
-    x, v1, v2 = point
-    Y = np.array([np.atleast_1d(np.asarray(x, dtype=float)),
-                  np.atleast_1d(np.asarray(v1, dtype=float)),
-                  np.atleast_1d(np.asarray(v2, dtype=float))])
-    return Y, False
-
-
-def flow(point, s: float, fields: FieldProfile, sign: int,
-         cfg: IntegratorConfig = IntegratorConfig()) -> PhasePoint:
-    """Integrate the trajectory through `point` for (signed) time s.
-
-    Splits s into ceil(|s|/dt) equal fixed steps.  After integrating, the
-    invariants at both ends are compared; DriftExceeded is raised when the
-    drift exceeds drift_tol * max(1, |s|).
-    """
-    Y, scalar = _pack(point)
-    if s != 0.0:
-        n = max(1, int(np.ceil(abs(s) / cfg.dt)))
-        h = s / n
-        step = make_stepper(fields, sign, cfg)
-        e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, sign)
-        for _ in range(n):
-            Y = step(Y, h)
-        e1, p1 = invariants_of(Y[0], Y[1], Y[2], fields, sign)
-        drift = float(max(np.max(np.abs(e1 - e0)), np.max(np.abs(p1 - p0))))
-        budget = cfg.drift_tol * max(1.0, abs(s))
-        if drift > budget:
-            raise DriftExceeded(drift, budget)
-    xw = np.mod(Y[0], fields.period)
-    if scalar:
-        return PhasePoint(float(xw[0]), float(Y[1][0]), float(Y[2][0]))
-    return xw, Y[1], Y[2]
-
-
-def invariant_drift(point, s_max: float, fields: FieldProfile, sign: int,
-                    cfg: IntegratorConfig = IntegratorConfig()) -> Tuple[float, float]:
-    """Max |e - e0| and |p - p0| sampled at every step of the backward
-    integration over [-s_max, 0]."""
-    Y, _ = _pack(point)
-    de, dp = invariant_drift_batch(Y[0], Y[1], Y[2], s_max, fields, sign, cfg)
-    return float(np.max(de)), float(np.max(dp))
-
-
-def invariant_drift_batch(x, v1, v2, s_max: float, fields: FieldProfile, sign: int,
-                          cfg: IntegratorConfig = IntegratorConfig()):
-    """Per-node max invariant drift over the backward horizon, no exception."""
-    Y = np.array([np.asarray(x, dtype=float).ravel(),
-                  np.asarray(v1, dtype=float).ravel(),
-                  np.asarray(v2, dtype=float).ravel()])
-    n = max(1, int(np.ceil(s_max / cfg.dt)))
-    h = -s_max / n
-    step = make_stepper(fields, sign, cfg)
-    e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, sign)
-    de = np.zeros_like(e0)
-    dp = np.zeros_like(p0)
-    for _ in range(n):
-        Y = step(Y, h)
-        e, p = invariants_of(Y[0], Y[1], Y[2], fields, sign)
-        np.maximum(de, np.abs(e - e0), out=de)
-        np.maximum(dp, np.abs(p - p0), out=dp)
-    return de, dp
+    return lambda Y, h: _gbs6_step(Y, h, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,33 +101,34 @@ def _wrap_centered(dx: np.ndarray, period: float) -> np.ndarray:
     return np.mod(dx + 0.5 * period, period) - 0.5 * period
 
 
-def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int,
-                cfg: IntegratorConfig = IntegratorConfig(),
+def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int, dt: float,
                 horizon: float = 200.0, return_tol: float = 1e-8) -> OrbitTable:
     """Classify the orbit through every start point of a batch.
 
-    Integrates forward looking for the first crossing of the section
-    {x = x0 (mod P), sign(v1) = sign(v1(0))}; for starts with v1 ~ 0 the
-    section {v1 = 0} near x0 is used instead.  Detected crossings are
-    refined by bisection inside the bracketing step.  Orbits that do not
-    return within the horizon are flagged not-found.
+    Integrates forward at the fixed step dt looking for the first crossing
+    of the section {x = x0 (mod P), sign(v1) = sign(v1(0))}; for starts
+    with v1 ~ 0 the section {v1 = 0} near x0 is used instead.  Detected
+    crossings are refined by bisection inside the bracketing step.  Orbits
+    that do not return within the horizon are flagged not-found.
     """
     X0 = np.asarray(x0, dtype=float).ravel()
     V10 = np.asarray(v10, dtype=float).ravel()
     V20 = np.asarray(v20, dtype=float).ravel()
     N = X0.size
     period = fields.period
-    if cfg.dt >= period / 8.0:
+    if not dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    if dt >= period / 8.0:
         raise ConfigError("dt too large for reliable section detection")
 
-    step = make_stepper(fields, sign, cfg)
+    step = make_stepper(fields, sign)
     Y = np.array([X0.copy(), V10.copy(), V20.copy()])
     g0 = lorentz_factor(V10, V20)
     vh10 = V10 / g0
     use_v1_section = np.abs(vh10) < 1e-8
     sig0 = np.where(V10 >= 0.0, 1.0, -1.0)
 
-    n_steps = int(np.ceil(horizon / cfg.dt))
+    n_steps = int(np.ceil(horizon / dt))
     done = np.zeros(N, dtype=bool)
     departed = np.zeros(N, dtype=bool)
     anchor_Y = np.zeros((3, N))
@@ -252,7 +137,7 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int,
     xi_prev = np.zeros(N)
     v1_prev = V10.copy()
     for i in range(1, n_steps + 1):
-        Y_new = step(Y, cfg.dt)
+        Y_new = step(Y, dt)
         xi = _wrap_centered(Y_new[0] - X0, period)
         departed |= np.abs(xi) > 10.0 * return_tol * period
         if i > 2:
@@ -263,7 +148,7 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int,
             hit = np.where(use_v1_section, flip_v, flip_x) & eligible
             if np.any(hit):
                 anchor_Y[:, hit] = Y[:, hit]
-                anchor_s[hit] = (i - 1) * cfg.dt
+                anchor_s[hit] = (i - 1) * dt
                 done |= hit
                 if np.all(done):
                     break
@@ -279,7 +164,7 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int,
         idx = np.nonzero(done)[0]
         Ya = anchor_Y[:, idx]
         lo = np.zeros(idx.size)
-        hi = np.full(idx.size, cfg.dt)
+        hi = np.full(idx.size, dt)
         v1sec = use_v1_section[idx]
         # bisection on the signed section coordinate inside the bracket
         xi_lo = _wrap_centered(Ya[0] - X0[idx], period)
@@ -306,16 +191,3 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int,
         found[idx[bad]] = False
     return OrbitTable(tau=tau, winding=winding, residual=residual, found=found)
 
-
-def orbit_info(point: PhasePoint, fields: FieldProfile, sign: int,
-               cfg: IntegratorConfig = IntegratorConfig(),
-               horizon: float = 200.0, return_tol: float = 1e-8) -> OrbitInfo:
-    """Orbit classification for a single start point; raises NoReturn."""
-    table = orbit_table([point.x], [point.v1], [point.v2], fields, sign,
-                        cfg=cfg, horizon=horizon, return_tol=return_tol)
-    if not table.found[0]:
-        raise NoReturn(horizon)
-    w = int(table.winding[0])
-    return OrbitInfo(kind="passing" if w != 0 else "trapped",
-                     period=float(table.tau[0]), winding=w,
-                     residual=float(table.residual[0]))

@@ -8,6 +8,7 @@ exit-code mapping, bitwise reproducibility).
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,10 @@ def test_vacuum_criterion_stable_and_manifested(tmp_path):
     assert manifest["artifacts"] == _artifact_digests(out)
     for key in ("averaging.dt", "sweep.gap_tol", "operators.sym_tol"):
         assert key in manifest["tolerances"]
+    # residuals inside sym_tol are measurements, not warnings
+    assert manifest["warnings"] == []
+    for key in ("asymmetry_residual", "a1_residual", "a2_residual"):
+        assert 0.0 <= manifest["extras"][key] <= 5e-2
 
 
 def test_vacuum_sweep_counts_and_csv(tmp_path):
@@ -189,7 +194,20 @@ def test_identical_configs_reproduce_bitwise(tmp_path):
     assert _artifact_digests(out_a) == _artifact_digests(out_b)
 
 
-def test_thread_count_does_not_change_artifacts(tmp_path):
+def test_thread_count_does_not_change_artifacts(tmp_path, monkeypatch):
+    # 64-node batches split the 288 nodes per species five ways, so four
+    # threads really share the work
+    import vmstab._parallel
+    import vmstab.averaging
+    monkeypatch.setattr(vmstab.averaging, "_CHUNK", 64)
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(vmstab._parallel, "ThreadPoolExecutor", RecordingPool)
     outs = []
     for threads in ("1", "4"):
         out = tmp_path / f"t{threads}"
@@ -198,3 +216,4 @@ def test_thread_count_does_not_change_artifacts(tmp_path):
         assert code == 0
         outs.append(_artifact_digests(out))
     assert outs[0] == outs[1]
+    assert pools and set(pools) == {4}

@@ -446,6 +446,9 @@ def test_reconstruct_validates_inputs(free_eq, recon_disc):
         reconstruct_mode(free_eq, recon_disc, np.inf, good, good, 0.0)
     with pytest.raises(ConfigError):
         reconstruct_mode(free_eq, recon_disc, 1.0, np.zeros(4), good, 0.0)
+    with pytest.raises(ConfigError):
+        reconstruct_mode(free_eq, recon_disc, 1.0, good, good, 0.0,
+                         fd_step=0.0)
 
 
 def test_reconstruct_vacuum_is_identically_zero(vacuum_eq, vacuum_disc):

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from vmstab.equilibrium import FieldProfile, preset_equilibrium, invariants_of
-from vmstab.errors import ConfigError, DriftExceeded, NoReturn
-from vmstab.trajectories import (IntegratorConfig, PhasePoint, flow,
-                                 invariant_drift, orbit_info, orbit_table)
+from vmstab.errors import ConfigError
+from vmstab.trajectories import make_stepper, orbit_table
 
 
 @pytest.fixture(scope="module")
@@ -14,40 +13,58 @@ def well():
     return preset_equilibrium("magnetic-well", b_amp=0.4, nx=16)
 
 
+def _integrate(start, s, fields, dt):
+    """State (x, v1, v2) after time s in ceil(|s|/dt) equal fixed steps,
+    and the largest |e - e0| or |p - p0| seen at any step."""
+    Y = np.array(start, dtype=float).reshape(3, 1)
+    n = int(np.ceil(abs(s) / dt))
+    h = s / n
+    step = make_stepper(fields, +1)
+    e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, +1)
+    drift = 0.0
+    for _ in range(n):
+        Y = step(Y, h)
+        e, p = invariants_of(Y[0], Y[1], Y[2], fields, +1)
+        drift = max(drift, float(np.max(np.abs(e - e0))),
+                    float(np.max(np.abs(p - p0))))
+    return Y[:, 0], drift
+
+
+def _orbit(start, fields, horizon=200.0):
+    x, v1, v2 = start
+    return orbit_table([x], [v1], [v2], fields, +1, 1e-2, horizon=horizon)
+
+
 def test_zero_field_flow_is_free_streaming():
     fields = FieldProfile.zero(2.0 * np.pi, 8)
-    pt = PhasePoint(1.0, 0.8, -0.3)
     vhat1 = 0.8 / np.sqrt(1 + 0.64 + 0.09)
-    out = flow(pt, -5.0, fields, +1, IntegratorConfig(dt=1e-2))
-    assert np.isclose(out.x, (1.0 - 5.0 * vhat1) % (2.0 * np.pi), atol=1e-12)
-    assert out.v1 == pt.v1 and out.v2 == pt.v2
+    (x, v1, v2), _ = _integrate((1.0, 0.8, -0.3), -5.0, fields, 1e-2)
+    assert np.isclose(x % (2.0 * np.pi), (1.0 - 5.0 * vhat1) % (2.0 * np.pi),
+                      atol=1e-12)
+    assert v1 == 0.8 and v2 == -0.3
 
 
 def test_invariants_conserved_at_default_step(well):
-    cfg = IntegratorConfig()
-    de, dp = invariant_drift(PhasePoint(1.3, 1.8, -0.9), 30.0, well.fields, +1, cfg)
-    assert max(de, dp) < 1e-9
+    _, drift = _integrate((1.3, 1.8, -0.9), -30.0, well.fields, 1e-2)
+    assert drift < 1e-9
 
 
 def test_halving_dt_improves_drift_by_fifth_order(well):
     # measured in the truncation-dominated regime; near the default step the
     # error sits on the roundoff floor and ratios are meaningless
-    pt = PhasePoint(1.3, 1.8, -0.9)
-    d_coarse = max(*invariant_drift(pt, 10.0, well.fields, +1,
-                                    IntegratorConfig(dt=0.5, drift_tol=np.inf)))
-    d_fine = max(*invariant_drift(pt, 10.0, well.fields, +1,
-                                  IntegratorConfig(dt=0.25, drift_tol=np.inf)))
+    start = (1.3, 1.8, -0.9)
+    _, d_coarse = _integrate(start, -10.0, well.fields, 0.5)
+    _, d_fine = _integrate(start, -10.0, well.fields, 0.25)
     assert d_coarse / d_fine >= 32.0
 
 
 def test_flow_converges_at_sixth_order(well):
-    pt = PhasePoint(0.7, 1.5, 0.4)
-    ref = flow(pt, -8.0, well.fields, +1, IntegratorConfig(dt=1e-3))
+    start = (0.7, 1.5, 0.4)
+    ref, _ = _integrate(start, -8.0, well.fields, 1e-3)
     errs = []
     for dt in (0.4, 0.2, 0.1):
-        out = flow(pt, -8.0, well.fields, +1, IntegratorConfig(dt=dt))
-        errs.append(max(abs(out.x - ref.x), abs(out.v1 - ref.v1),
-                        abs(out.v2 - ref.v2)))
+        out, _ = _integrate(start, -8.0, well.fields, dt)
+        errs.append(float(np.max(np.abs(out - ref))))
     assert errs[0] / errs[1] > 40.0
     assert errs[1] / errs[2] > 40.0
 
@@ -89,76 +106,66 @@ def _orbit_period_oracle(eq, x0, v10, v20, sign=+1):
 
 
 def test_passing_orbit_period_matches_quadrature_oracle(well):
-    pt = PhasePoint(0.0, 2.0, 0.3)
-    info = orbit_info(pt, well.fields, +1, IntegratorConfig(dt=1e-2))
-    tau_ref, kind = _orbit_period_oracle(well, pt.x, pt.v1, pt.v2)
-    assert kind == "passing" and info.kind == "passing"
-    assert info.winding == 1
-    assert abs(info.period - tau_ref) < 1e-6 * tau_ref
+    start = (0.0, 2.0, 0.3)
+    tab = _orbit(start, well.fields)
+    tau_ref, kind = _orbit_period_oracle(well, *start)
+    assert kind == "passing" and tab.found[0]
+    assert tab.winding[0] == 1
+    assert abs(tab.tau[0] - tau_ref) < 1e-6 * tau_ref
 
 
 def test_trapped_orbit_period_matches_quadrature_oracle(well):
     # speed 0.5 and p = 0.45 bounce inside the 0.4 sin x well
-    v1 = np.sqrt(0.25 - 0.45 ** 2)
-    pt = PhasePoint(0.0, v1, 0.45)
-    info = orbit_info(pt, well.fields, +1, IntegratorConfig(dt=1e-2))
-    tau_ref, kind = _orbit_period_oracle(well, pt.x, pt.v1, pt.v2)
-    assert kind == "trapped" and info.kind == "trapped"
-    assert info.winding == 0
-    assert abs(info.period - tau_ref) < 1e-6 * tau_ref
+    start = (0.0, np.sqrt(0.25 - 0.45 ** 2), 0.45)
+    tab = _orbit(start, well.fields)
+    tau_ref, kind = _orbit_period_oracle(well, *start)
+    assert kind == "trapped" and tab.found[0]
+    assert tab.winding[0] == 0
+    assert abs(tab.tau[0] - tau_ref) < 1e-6 * tau_ref
 
 
 def test_turning_point_start_uses_velocity_section(well):
     # v1 = 0 starts exactly at a bounce point where the spatial section is
     # degenerate; the same orbit must still be closed with the same period
-    pt_mid = PhasePoint(0.0, np.sqrt(0.25 - 0.45 ** 2), 0.45)
-    ref = orbit_info(pt_mid, well.fields, +1, IntegratorConfig(dt=1e-2))
-    e, p = invariants_of(pt_mid.x, pt_mid.v1, pt_mid.v2, well.fields, +1)
+    mid = (0.0, np.sqrt(0.25 - 0.45 ** 2), 0.45)
+    ref = _orbit(mid, well.fields)
+    e, p = invariants_of(*mid, well.fields, +1)
     # walk x until W = e^2-1-(p-psi)^2 vanishes: that is the turning point
     from scipy.optimize import brentq
     W = lambda x: e * e - 1.0 - (p - well.fields.psi(np.asarray([x]))[0]) ** 2
     x_turn = brentq(W, 0.0, -2.0, xtol=1e-14)
     v2_turn = p - well.fields.psi(np.asarray([x_turn]))[0]
-    info = orbit_info(PhasePoint(x_turn, 0.0, v2_turn), well.fields, +1,
-                      IntegratorConfig(dt=1e-2))
-    assert info.kind == "trapped"
-    assert abs(info.period - ref.period) < 1e-6 * ref.period
+    tab = _orbit((x_turn, 0.0, v2_turn), well.fields)
+    assert tab.found[0] and tab.winding[0] == 0
+    assert abs(tab.tau[0] - ref.tau[0]) < 1e-6 * ref.tau[0]
 
 
 def test_orbit_table_batch_consistency(well):
     xs = np.array([0.0, 1.0, 2.0, 4.0])
     v1s = np.array([0.3, 1.0, -0.5, 2.0])
     v2s = np.array([-0.2, 0.5, 0.1, -1.0])
-    tab = orbit_table(xs, v1s, v2s, well.fields, +1, IntegratorConfig(dt=1e-2))
+    tab = orbit_table(xs, v1s, v2s, well.fields, +1, 1e-2)
     assert tab.found.all()
     for j in range(4):
-        single = orbit_info(PhasePoint(xs[j], v1s[j], v2s[j]), well.fields, +1,
-                            IntegratorConfig(dt=1e-2))
-        assert abs(tab.tau[j] - single.period) < 1e-10 * single.period
-        assert tab.winding[j] == single.winding
+        single = _orbit((xs[j], v1s[j], v2s[j]), well.fields)
+        assert abs(tab.tau[j] - single.tau[0]) < 1e-10 * single.tau[0]
+        assert tab.winding[j] == single.winding[0]
 
 
 def test_no_return_raises_within_short_horizon(well):
-    with pytest.raises(NoReturn):
-        orbit_info(PhasePoint(0.0, 0.05, 0.45), well.fields, +1,
-                   IntegratorConfig(dt=1e-2), horizon=1.0)
-
-
-def test_drift_guard_raises_on_absurd_step(well):
-    with pytest.raises(DriftExceeded):
-        flow(PhasePoint(1.3, 1.8, -0.9), -20.0, well.fields, +1,
-             IntegratorConfig(dt=1.5, drift_tol=1e-14))
+    tab = _orbit((0.0, 0.05, 0.45), well.fields, horizon=1.0)
+    assert not tab.found[0]
 
 
 def test_oversized_table_step_rejected(well):
-    with pytest.raises(ConfigError):
-        orbit_table(np.array([0.0]), np.array([1.0]), np.array([0.0]),
-                    well.fields, +1, IntegratorConfig(dt=2.0))
+    for dt in (2.0, 0.0):
+        with pytest.raises(ConfigError):
+            orbit_table(np.array([0.0]), np.array([1.0]), np.array([0.0]),
+                        well.fields, +1, dt)
 
 
 @given(x=st.floats(0.0, 6.28), v1=st.floats(-2.0, 2.0), v2=st.floats(-2.0, 2.0))
 @settings(max_examples=15, deadline=None)
 def test_invariants_conserved_from_any_start(well, x, v1, v2):
-    de, dp = invariant_drift(PhasePoint(x, v1, v2), 5.0, well.fields, +1,
-                             IntegratorConfig(dt=1e-2))
-    assert max(de, dp) < 1e-9
+    _, drift = _integrate((x, v1, v2), -5.0, well.fields, 1e-2)
+    assert drift < 1e-9
