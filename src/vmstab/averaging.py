@@ -4,17 +4,22 @@ Q^T weights the backward history of a phase point with (1/T) e^{s/T} ds;
 its strong limit Q^inf replaces the weight with the uniform average over
 the orbit through the point.  average_symbol_pack takes either one on a
 phase grid, for a whole block of symbols riding the same trajectories;
-apply_QT_points takes Q^T at arbitrary points without folding.  Both
-integrate each node backward with the trajectory stepper and accumulate,
-panel by panel, the exact exponential moment of a linear interpolant of
-the integrand, so the quadrature step always equals the flow step.
+apply_QT_points takes Q^T at arbitrary points.
 
-Orbit periodicity is exploited wherever the first-return table reports a
-period tau shorter than the truncation window S_max = T log(1/epsilon):
-the infinite history of a periodic orbit folds into one period through
-the geometric factor 1/(1 - e^{-tau/T}).  Folding removes the truncation
-error entirely and makes large horizons affordable, since the cost per
-node drops from S_max to tau.
+On a grid every orbit that the first-return table closes is periodic
+modulo the spatial period, with period tau.  One backward pass samples
+each such orbit at M equispaced times over one period and an FFT turns
+the samples into coefficients c_m of g(Z(-s)) = sum_m c_m e^{i nu_m s},
+nu_m = 2 pi m / tau.  Then Q^T g = sum_m c_m / (1 - i nu_m T) holds for
+every T at once and Q^inf g = c_0; the equispaced periodic trapezoid rule
+behind the c_m converges geometrically for smooth symbols.  The
+coefficient table is cached on the grid, so each further horizon is a
+contraction of cached arrays.
+
+Nodes whose orbit never closed, and every point of apply_QT_points,
+integrate a truncated backward window S_max = T log(1/epsilon_tail) with
+the trajectory stepper, accumulating panel by panel the exact exponential
+moment of a linear interpolant of the integrand.
 """
 
 from __future__ import annotations
@@ -36,19 +41,26 @@ from .trajectories import OrbitTable, make_stepper, orbit_table
 # bitwise reproducible
 _CHUNK = 2048
 
+# samples per orbit period in the coefficient tables
+_SAMPLES = 128
+
 
 @dataclass(frozen=True)
 class AveragingConfig:
     """Discretization of the backward ergodic averages.
 
-    dt is both the flow step and the quadrature panel width.  epsilon_tail
-    truncates the exponential weight, giving S_max = T log(1/epsilon_tail).
-    First-return detection runs at the coarser orbit_dt (the return time is
-    refined by bisection, so the fine step buys nothing there) and is
-    skipped altogether when S_max never exceeds fold_threshold.  Nodes with
-    no detected return fall back, for the infinite-horizon projection only,
-    to a normalized exponential average with T_big = tbig_factor * period
-    over a fallback_horizon window integrated at orbit_dt.
+    dt caps the flow step: the coefficient tables step each closed orbit
+    with tau / (M s), s the smallest integer that keeps the step at or
+    below dt, and the truncated windows step at dt, which is also their
+    quadrature panel width.  epsilon_tail truncates the exponential weight
+    of a window, giving S_max = T log(1/epsilon_tail).  First-return
+    detection runs at the coarser orbit_dt (the return time is refined by
+    bisection, so the fine step buys nothing there) up to orbit_horizon.
+    Nodes with no detected return take the window at finite T and, at
+    T = inf, a normalized exponential average with T_big = tbig_factor *
+    period over a fallback_horizon window integrated at orbit_dt.
+    drift_tol * max(1, integrated time) bounds the invariant drift of any
+    node's pass.
 
     threads is the number of workers sharing the fixed-size node batches;
     it never changes a result.
@@ -60,7 +72,6 @@ class AveragingConfig:
     orbit_dt: float = 1e-2
     orbit_horizon: float = 200.0
     return_tol: float = 1e-8
-    fold_threshold: float = 2.0
     fallback_horizon: float = 200.0
     tbig_factor: float = 1e3
     threads: int = 1
@@ -219,19 +230,18 @@ class SymbolPack:
 
 
 # ---------------------------------------------------------------------------
-# the backward integration core
+# truncated backward windows
 
 
 def _chunk_backward_integrals(evaluate, n_sym, X, V1, V2, stop, T,
                               fields, sign, cfg, dt):
-    """Per-node integrals of w(s) g_m(Z(s)) over s in [-stop_i, 0].
+    """Per-node integrals of e^{s/T} g_m(Z(s)) over s in [-stop_i, 0].
 
-    w(s) = e^{s/T} for finite T, 1 for T = None (orbit averaging).  Nodes
-    leave the batch at their own stop time; the final panel shrinks to the
-    exact remainder.  Returns (acc (n_sym, n) complex, max_d2 (n_sym,)),
-    where max_d2 estimates sup |d^2 g / ds^2| from second differences.
-    Raises DriftExceeded when a finished node's invariants moved more than
-    drift_tol * max(1, stop).
+    Nodes leave the batch at their own stop time; the final panel shrinks
+    to the exact remainder.  Returns (acc (n_sym, n) complex, max_d2
+    (n_sym,)), where max_d2 estimates sup |d^2 g / ds^2| from second
+    differences.  Raises DriftExceeded when a finished node's invariants
+    moved more than drift_tol * max(1, stop).
     """
     n = X.size
     acc = np.zeros((n_sym, n), dtype=complex)
@@ -240,7 +250,6 @@ def _chunk_backward_integrals(evaluate, n_sym, X, V1, V2, stop, T,
         return acc, max_d2
     period = fields.period
     step = make_stepper(fields, sign)
-    finite = T is not None and np.isfinite(T)
 
     Y = np.array([X, V1, V2], dtype=float)
     e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, sign)
@@ -256,20 +265,17 @@ def _chunk_backward_integrals(evaluate, n_sym, X, V1, V2, stop, T,
         Y = step(Y, -h)
         Y[0] = np.mod(Y[0], period)
         g_new = evaluate(Y[0], Y[1], Y[2])
-        if finite:
-            # exact exponential moments of the panel: with u = h/T,
-            # int_0^h e^{t/T} dt = A and int_0^h e^{t/T} t dt = B
-            u = h / T
-            e1 = np.expm1(u)
-            A = T * e1
-            B = np.where(u < 1e-3,
-                         h * h * (0.5 + u * (1.0 / 3.0 + 0.125 * u)),
-                         T * (h * (e1 + 1.0) - A))
-            wb = B / h
-            phase = phase * np.exp(-u)
-            acc[:, alive] += phase * (g_new * (A - wb) + g_prev * wb)
-        else:
-            acc[:, alive] += (0.5 * h) * (g_new + g_prev)
+        # exact exponential moments of the panel: with u = h/T,
+        # int_0^h e^{t/T} dt = A and int_0^h e^{t/T} t dt = B
+        u = h / T
+        e1 = np.expm1(u)
+        A = T * e1
+        B = np.where(u < 1e-3,
+                     h * h * (0.5 + u * (1.0 / 3.0 + 0.125 * u)),
+                     T * (h * (e1 + 1.0) - A))
+        wb = B / h
+        phase = phase * np.exp(-u)
+        acc[:, alive] += phase * (g_new * (A - wb) + g_prev * wb)
         if g_prev2 is not None:
             d2 = g_new - 2.0 * g_prev + g_prev2
             est = np.abs(d2.real) + np.abs(d2.imag)
@@ -279,10 +285,7 @@ def _chunk_backward_integrals(evaluate, n_sym, X, V1, V2, stop, T,
         if np.any(done):
             ef, pf = invariants_of(Y[0][done], Y[1][done], Y[2][done], fields, sign)
             drift = np.maximum(np.abs(ef - e0[done]), np.abs(pf - p0[done]))
-            budget = cfg.drift_tol * np.maximum(1.0, total[done])
-            k = int(np.argmax(drift - budget))
-            if drift[k] > budget[k]:
-                raise DriftExceeded(float(drift[k]), float(budget[k]))
+            _check_drift(drift, total[done], cfg)
             keep = ~done
             Y = Y[:, keep]
             phase = phase[keep]
@@ -298,6 +301,14 @@ def _chunk_backward_integrals(evaluate, n_sym, X, V1, V2, stop, T,
     return acc, max_d2
 
 
+def _check_drift(drift, elapsed, cfg):
+    """Raise DriftExceeded when a node's invariants moved past its budget."""
+    budget = cfg.drift_tol * np.maximum(1.0, elapsed)
+    k = int(np.argmax(drift - budget))
+    if drift[k] > budget[k]:
+        raise DriftExceeded(float(drift[k]), float(budget[k]))
+
+
 def _backward_integrals(evaluate, n_sym, X, V1, V2, stop, T, fields, sign, cfg, dt):
     def worker(lo, hi):
         return _chunk_backward_integrals(evaluate, n_sym, X[lo:hi], V1[lo:hi],
@@ -310,6 +321,15 @@ def _backward_integrals(evaluate, n_sym, X, V1, V2, stop, T, fields, sign, cfg, 
     return acc, max_d2
 
 
+def _cached(grid: PhaseGrid, key, fields: FieldProfile, build: Callable):
+    """Grid-cached build(); the field profile is compared by identity."""
+    entry = grid._orbit_cache.get(key)
+    if entry is None or entry[0] is not fields:
+        entry = (fields, build())
+        grid._orbit_cache[key] = entry
+    return entry[1]
+
+
 def orbit_summary(grid: PhaseGrid, sign: int, fields: FieldProfile,
                   cfg: AveragingConfig = AveragingConfig()) -> OrbitTable:
     """First-return data for every grid node, cached on the grid.
@@ -318,87 +338,195 @@ def orbit_summary(grid: PhaseGrid, sign: int, fields: FieldProfile,
     field profile is compared by identity, so rebuilding fields invalidates
     the entry.
     """
-    key = (sign, cfg.orbit_dt, cfg.orbit_horizon, cfg.return_tol)
-    entry = grid._orbit_cache.get(key)
-    if entry is not None and entry[0] is fields:
-        return entry[1]
-
     def worker(lo, hi):
         return orbit_table(grid.X[lo:hi], grid.V1[lo:hi], grid.V2[lo:hi],
                            fields, sign, cfg.orbit_dt,
                            horizon=cfg.orbit_horizon,
                            return_tol=cfg.return_tol)
 
-    parts = run_chunks(worker, grid.size, _CHUNK, cfg.threads)
-    table = OrbitTable(tau=np.concatenate([p.tau for p in parts]),
-                       winding=np.concatenate([p.winding for p in parts]),
-                       residual=np.concatenate([p.residual for p in parts]),
-                       found=np.concatenate([p.found for p in parts]))
-    grid._orbit_cache[key] = (fields, table)
-    return table
+    def build():
+        parts = run_chunks(worker, grid.size, _CHUNK, cfg.threads)
+        return OrbitTable(
+            tau=np.concatenate([p.tau for p in parts]),
+            winding=np.concatenate([p.winding for p in parts]),
+            residual=np.concatenate([p.residual for p in parts]),
+            found=np.concatenate([p.found for p in parts]))
+
+    key = (sign, cfg.orbit_dt, cfg.orbit_horizon, cfg.return_tol)
+    return _cached(grid, key, fields, build)
+
+
+# ---------------------------------------------------------------------------
+# orbit-Fourier coefficient tables
+
+
+@dataclass(frozen=True)
+class _OrbitSamples:
+    """One backward period of every closed grid orbit, sampled M times.
+
+    closed marks the grid nodes whose orbit the first-return table closed;
+    for the i-th of them, states[:, i, j] is the phase point Z(-j tau_i / M)
+    for j = 0..M, so the last sample should repeat the first (modulo the
+    spatial period).  drift[i] is the largest invariant change over the
+    pass.
+    """
+
+    closed: np.ndarray
+    tau: np.ndarray
+    states: np.ndarray
+    drift: np.ndarray
+
+
+def _chunk_samples(X, V1, V2, tau, fields, sign, dt):
+    """Backward pass of a node batch: (states (3, n, M + 1), drift (n,)).
+
+    Node i steps with h_i = tau_i / (M s_i), s_i = ceil(tau_i / (M dt)), so
+    its step never exceeds dt, and keeps every s_i-th state.
+    """
+    n = X.size
+    M = _SAMPLES
+    states = np.empty((3, n, M + 1))
+    drift = np.zeros(n)
+    if n == 0:
+        return states, drift
+    period = fields.period
+    step = make_stepper(fields, sign)
+    stride = np.ceil(tau / (M * dt)).astype(np.int64)
+    h = tau / (M * stride)
+
+    Y = np.array([X, V1, V2], dtype=float)
+    states[:, :, 0] = Y
+    e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, sign)
+    alive = np.arange(n)
+    k = 0
+    while alive.size:
+        Y = step(Y, -h)
+        Y[0] = np.mod(Y[0], period)
+        k += 1
+        due = np.flatnonzero(k % stride == 0)
+        if due.size == 0:
+            continue
+        j = k // stride[due]
+        states[:, alive[due], j] = Y[:, due]
+        done = np.zeros(alive.size, dtype=bool)
+        done[due[j == M]] = True
+        if np.any(done):
+            ef, pf = invariants_of(Y[0, done], Y[1, done], Y[2, done],
+                                   fields, sign)
+            drift[alive[done]] = np.maximum(np.abs(ef - e0[done]),
+                                            np.abs(pf - p0[done]))
+            keep = ~done
+            Y = Y[:, keep]
+            h = h[keep]
+            stride = stride[keep]
+            e0 = e0[keep]
+            p0 = p0[keep]
+            alive = alive[keep]
+    return states, drift
+
+
+def _orbit_samples(grid: PhaseGrid, sign: int, fields: FieldProfile,
+                   cfg: AveragingConfig) -> _OrbitSamples:
+    """The grid-cached backward pass of one species; every pack reads it."""
+    def build():
+        orbits = orbit_summary(grid, sign, fields, cfg)
+        closed = orbits.found
+
+        def worker(lo, hi):
+            sel = np.flatnonzero(closed[lo:hi]) + lo
+            return _chunk_samples(grid.X[sel], grid.V1[sel], grid.V2[sel],
+                                  orbits.tau[sel], fields, sign, cfg.dt)
+
+        parts = run_chunks(worker, grid.size, _CHUNK, cfg.threads)
+        return _OrbitSamples(
+            closed=closed, tau=orbits.tau[closed],
+            states=np.concatenate([p[0] for p in parts], axis=1),
+            drift=np.concatenate([p[1] for p in parts]))
+
+    key = ("samples", sign, cfg.dt, cfg.orbit_dt, cfg.orbit_horizon,
+           cfg.return_tol)
+    samples = _cached(grid, key, fields, build)
+    if samples.tau.size:
+        _check_drift(samples.drift, samples.tau, cfg)
+    return samples
+
+
+@dataclass(frozen=True)
+class _OrbitCoefficients:
+    """Fourier coefficients of a symbol block along every closed orbit.
+
+    For the i-th closed node, g_r(Z(-s)) = sum_m coeffs[r, i, m]
+    e^{i nu[i, m] s}, with nu[i, m] = 2 pi m / tau_i in numpy FFT order.
+    err[r, i] estimates the error of any average read from row r at node
+    i: the coefficient mass in the top band M/4 <= |m| <= M/2, which bounds
+    the aliasing of a geometrically decaying series; the closure residual
+    |g(Z(-tau)) - g(Z(0))|, which carries the period and stepping errors;
+    and a roundoff floor M eps max |g|.
+    """
+
+    closed: np.ndarray
+    nu: np.ndarray
+    coeffs: np.ndarray
+    err: np.ndarray
+
+    def average(self, T: float) -> np.ndarray:
+        """Q^T (finite T) or Q^inf (T = inf) at the closed nodes."""
+        if T == np.inf:
+            return self.coeffs[..., 0]
+        return np.sum(self.coeffs / (1.0 - 1j * T * self.nu), axis=-1)
+
+
+def _orbit_coefficients(pack, evaluate, n_sym, grid, sign, fields, cfg):
+    """The grid-cached coefficient table of one symbol block and species.
+
+    The key holds pack itself: a SymbolPack compares by value, a block
+    evaluator by identity.
+    """
+    samples = _orbit_samples(grid, sign, fields, cfg)
+    M = _SAMPLES
+    band = np.abs(np.fft.fftfreq(M, 1.0 / M)) >= M // 4
+
+    def worker(lo, hi):
+        Z = samples.states[:, lo:hi]
+        g = np.asarray(evaluate(Z[0].ravel(), Z[1].ravel(), Z[2].ravel()))
+        g = g.reshape(n_sym, hi - lo, M + 1)
+        coeffs = np.fft.fft(g[..., :M], axis=-1) / M
+        err = (np.sum(np.abs(coeffs[..., band]), axis=-1)
+               + np.abs(g[..., M] - g[..., 0])
+               + (M * np.finfo(float).eps) * np.max(np.abs(g), axis=-1))
+        return coeffs, err
+
+    def build():
+        parts = run_chunks(worker, samples.tau.size, _CHUNK, cfg.threads)
+        coeffs = [p[0] for p in parts] or [np.empty((n_sym, 0, M), complex)]
+        err = [p[1] for p in parts] or [np.empty((n_sym, 0))]
+        nu = (2.0 * np.pi) * np.fft.fftfreq(M, 1.0 / M) / samples.tau[:, None]
+        return _OrbitCoefficients(closed=samples.closed, nu=nu,
+                                  coeffs=np.concatenate(coeffs, axis=1),
+                                  err=np.concatenate(err, axis=1))
+
+    key = ("coefficients", sign, pack, cfg.dt, cfg.orbit_dt,
+           cfg.orbit_horizon, cfg.return_tol)
+    return _cached(grid, key, fields, build)
 
 
 # ---------------------------------------------------------------------------
 # public operators
 
 
-def _finite_horizon_averages(evaluate, n_sym, T, grid, sign, fields, cfg):
-    s_max = cfg.s_max(T)
-    stop = np.full(grid.size, s_max)
-    fold = np.zeros(grid.size, dtype=bool)
-    if s_max > cfg.fold_threshold:
-        table = orbit_summary(grid, sign, fields, cfg)
-        fold = table.found & (table.tau < s_max)
-        stop = np.where(fold, table.tau, s_max)
-    acc, max_d2 = _backward_integrals(evaluate, n_sym, grid.X, grid.V1, grid.V2,
-                                      stop, T, fields, sign, cfg, cfg.dt)
-    values = acc / T
-    if np.any(fold):
-        values[:, fold] /= -np.expm1(-stop[fold] / T)
-    tail = float(np.exp(-s_max / T))
-    quad_b = max_d2 * (cfg.dt ** 2 / 12.0)
-    return values, tail, quad_b
-
-
-def _projection_averages(evaluate, n_sym, grid, sign, fields, cfg):
-    table = orbit_summary(grid, sign, fields, cfg)
-    found = table.found
-    values = np.zeros((n_sym, grid.size), dtype=complex)
-    quad_b = np.zeros(n_sym)
-    if found.any():
-        acc, max_d2 = _backward_integrals(evaluate, n_sym, grid.X[found],
-                                          grid.V1[found], grid.V2[found],
-                                          table.tau[found], None, fields,
-                                          sign, cfg, cfg.dt)
-        values[:, found] = acc / table.tau[found]
-        quad_b = np.maximum(quad_b, max_d2 * (cfg.dt ** 2 / 12.0))
-    if not found.all():
-        # no detected return: substitute a long exponential average, made
-        # orbit-scale-free by normalizing the truncated weight exactly
-        lost = ~found
-        t_big = cfg.tbig_factor * fields.period
-        s_fb = cfg.fallback_horizon
-        acc, max_d2 = _backward_integrals(evaluate, n_sym, grid.X[lost],
-                                          grid.V1[lost], grid.V2[lost],
-                                          np.full(int(lost.sum()), s_fb), t_big,
-                                          fields, sign, cfg, cfg.orbit_dt)
-        values[:, lost] = acc / (t_big * -np.expm1(-s_fb / t_big))
-        quad_b = np.maximum(quad_b, max_d2 * (cfg.orbit_dt ** 2 / 12.0))
-    return values, quad_b, (~found if not found.all() else np.zeros(grid.size, bool))
-
-
 @dataclass(frozen=True)
 class PackAverages:
     """Averaged values of every symbol row, as one (n_sym, N) block.
 
-    tail_bound is the exponential weight mass beyond the truncation window,
-    exp(-S_max / T), relative to the sup of a symbol along the tail; folded
-    nodes carry no truncation at all, so for them it is an upper estimate.
-    quad_bound is the trapezoid term dt^2 / 12 times the largest second
-    time-difference of any row's integrand observed along the
-    trajectories.  For the infinite-horizon projection, fallback marks the
-    nodes where no return was detected and a long normalized exponential
-    average was substituted for the orbit average.
+    fallback marks the nodes whose orbit never closed: at finite T they
+    took the truncated window, at T = inf a long normalized exponential
+    average stands in for the orbit average.  tail_bound is the exponential
+    weight mass beyond the window, exp(-S_max / T), relative to the sup of
+    a symbol along the tail; it is 0 when no node took a window.
+    quad_bound is the largest error estimate of any row: on closed orbits
+    the coefficient table's top-band tail, closure residual and roundoff
+    floor; on fallback nodes the panel term h^2 / 12 times the largest
+    second time-difference of the integrand along the trajectories.
     """
 
     pack: Union[SymbolPack, Callable]
@@ -406,7 +534,7 @@ class PackAverages:
     T: float
     tail_bound: float
     quad_bound: float
-    fallback: Optional[np.ndarray] = None
+    fallback: np.ndarray
 
 
 def average_symbol_pack(pack: Union[SymbolPack, Callable], T: float,
@@ -416,12 +544,12 @@ def average_symbol_pack(pack: Union[SymbolPack, Callable], T: float,
 
     pack is a SymbolPack or a block evaluator (x, v1, v2) -> (n_sym, n);
     every row rides the same trajectories, so averaging several symbols in
-    one call costs little more than averaging one.  A finite horizon
-    integrates the window S_max = T log(1/epsilon_tail), folded over one
-    exact period on nodes whose orbit closes sooner; the result differs
-    from the infinite-history value by at most tail_bound times the symbol
-    sup.  T = inf takes the time average over the orbit through each node,
-    with the fallback nodes flagged.
+    one call costs little more than averaging one.  The backward pass that
+    samples every closed orbit runs once per grid and species; a pack's
+    first call evaluates its block on those samples, and every later
+    horizon contracts the cached coefficients.  A SymbolPack is cached by
+    value and a block evaluator by identity.  Nodes whose orbit never
+    closed still integrate their window on every call.
     """
     infinite = T == np.inf
     if not infinite:
@@ -431,15 +559,32 @@ def average_symbol_pack(pack: Union[SymbolPack, Callable], T: float,
                 f"averaging horizon must be positive and finite, or inf, got {T}")
     evaluate = pack.evaluator() if isinstance(pack, SymbolPack) else pack
     n_sym = _block_size(evaluate, grid.X, grid.V1, grid.V2)
-    if infinite:
-        values, quad_b, fallback = _projection_averages(evaluate, n_sym,
-                                                        grid, sign, fields, cfg)
-        return PackAverages(pack=pack, values=values, T=np.inf, tail_bound=0.0,
-                            quad_bound=float(np.max(quad_b)), fallback=fallback)
-    values, tail, quad_b = _finite_horizon_averages(evaluate, n_sym, T,
-                                                    grid, sign, fields, cfg)
-    return PackAverages(pack=pack, values=values, T=T, tail_bound=tail,
-                        quad_bound=float(np.max(quad_b)))
+    table = _orbit_coefficients(pack, evaluate, n_sym, grid, sign, fields, cfg)
+    closed = table.closed
+    values = np.empty((n_sym, grid.size), dtype=complex)
+    values[:, closed] = table.average(T)
+    quad_b = np.max(table.err, axis=1, initial=0.0)
+    tail = 0.0
+    lost = ~closed
+    if lost.any():
+        if infinite:
+            # a long exponential average, made orbit-scale-free by
+            # normalizing the truncated weight exactly
+            t_w = cfg.tbig_factor * fields.period
+            stop, h = cfg.fallback_horizon, cfg.orbit_dt
+            norm = t_w * -np.expm1(-stop / t_w)
+        else:
+            t_w, stop, h = T, cfg.s_max(T), cfg.dt
+            norm = T
+            tail = float(np.exp(-stop / T))
+        acc, max_d2 = _backward_integrals(
+            evaluate, n_sym, grid.X[lost], grid.V1[lost], grid.V2[lost],
+            np.full(int(lost.sum()), stop), t_w, fields, sign, cfg, h)
+        values[:, lost] = acc / norm
+        quad_b = np.maximum(quad_b, max_d2 * (h ** 2 / 12.0))
+    return PackAverages(pack=pack, values=values,
+                        T=np.inf if infinite else T, tail_bound=tail,
+                        quad_bound=float(np.max(quad_b)), fallback=lost)
 
 
 def apply_QT_points(g: Callable, T: float, x, v1, v2, sign: int,
@@ -448,12 +593,12 @@ def apply_QT_points(g: Callable, T: float, x, v1, v2, sign: int,
     """Backward exponential average of one symbol at arbitrary phase points.
 
     Unlike average_symbol_pack this takes a point cloud instead of a
-    PhaseGrid and never folds periodic orbits: every point integrates the
-    full truncated window S_max = T log(1/epsilon_tail), so two nearby
-    point sets (for a finite-difference derivative along the flow, say) go
-    through the identical code path and their difference is free of
-    folding seams.  Finite horizons only.  Returns the complex averaged
-    values.
+    PhaseGrid and needs no orbit table: every point integrates the full
+    truncated window S_max = T log(1/epsilon_tail), so two nearby point
+    sets (for a finite-difference derivative along the flow, say) go
+    through the identical code path, and the result is independent of the
+    coefficient tables behind the grid averages.  Finite horizons only.
+    Returns the complex averaged values.
     """
     T = float(T)
     if not (T > 0.0 and np.isfinite(T)):

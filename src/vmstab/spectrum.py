@@ -447,8 +447,9 @@ def reconstruct_mode(eq: EquilibriumSpec, disc: DiscretizationSpec, T: float,
     evaluated on the discretization grid, with Q^T taken by
     apply_QT_points.  The reported residual feeds the same reconstruction
     at points advanced one fd_step along the flow, so both evaluations
-    share that unfolded point-average code path and their difference
-    carries no folding seam.
+    share the truncated-window code path, and the residual checks the mode
+    that the orbit-Fourier grid averages produced against an independent
+    quadrature.
     """
     T = float(T)
     if not (T > 0.0 and np.isfinite(T)):

@@ -198,14 +198,85 @@ def test_qt_points_free_streaming_off_grid(free_eq):
         assert np.max(np.abs(vals - expected) / np.abs(expected)) <= 1e-5
 
 
-def test_qt_points_matches_grid_variant_unfolded(well_eq, small_grid):
-    # at T = 0.1 the window S_max = 2.3 stays below every orbit period, so
-    # the grid variant never folds and both paths do the identical panel sum
-    g = _smooth_symbol(well_eq.fields.period)
-    grid_out = _average(g, 0.1, small_grid, -1, well_eq.fields, CFG)
+def test_qt_points_agrees_with_grid_average(well_eq, small_grid):
+    # the point path integrates the truncated window with the panel rule,
+    # the grid path reads orbit-Fourier coefficients: the two agree within
+    # the window's dt^2/12 panel term, which the grid path reports when a
+    # short first-return horizon sends every node through the window
+    fields = well_eq.fields
+    g = _smooth_symbol(fields.period)
+    grid_out = _average(g, 0.1, small_grid, -1, fields, CFG)
+    assert not grid_out.fallback.any()
     pts = apply_QT_points(g, 0.1, small_grid.X, small_grid.V1, small_grid.V2,
-                          -1, well_eq.fields, CFG)
-    assert np.array_equal(pts, grid_out.values[0])
+                          -1, fields, CFG)
+    window = _average(g, 0.1, small_grid, -1, fields,
+                      replace(CFG, orbit_horizon=1.0))
+    assert window.fallback.all()
+    tol = window.quad_bound + window.tail_bound + grid_out.quad_bound
+    assert np.max(np.abs(pts - grid_out.values[0])) <= tol
+
+
+def test_mixed_closed_and_window_nodes(well_eq, small_grid):
+    # a first-return horizon between the orbit periods (6.7 to 31.4 here)
+    # leaves some orbits open: those nodes take the truncated window, which
+    # is apply_QT_points' code path, and are reported as fallback, while
+    # the closed nodes read the same coefficients as with every orbit closed
+    fields = well_eq.fields
+    g = _smooth_symbol(fields.period)
+    cfg = replace(CFG, dt=1e-2, orbit_horizon=10.0)
+    out = _average(g, 0.3, small_grid, +1, fields, cfg)
+    lost = out.fallback
+    assert lost.any() and not lost.all()
+    assert 0.0 < out.tail_bound <= cfg.epsilon_tail * (1.0 + 1e-12)
+    pts = apply_QT_points(g, 0.3, small_grid.X[lost], small_grid.V1[lost],
+                          small_grid.V2[lost], +1, fields, cfg)
+    assert np.array_equal(out.values[0, lost], pts)
+    closed = _average(g, 0.3, small_grid, +1, fields,
+                      replace(cfg, orbit_horizon=CFG.orbit_horizon))
+    assert not closed.fallback.any() and closed.tail_bound == 0.0
+    assert np.array_equal(out.values[0, ~lost], closed.values[0, ~lost])
+
+
+def test_table_agrees_with_quarter_step_window(well_eq, small_grid):
+    # the coefficient table at step dt against the truncated window at
+    # dt/4 (every node forced through it by a short first-return horizon),
+    # within the bounds both report
+    fields = well_eq.fields
+    g = _smooth_symbol(fields.period)
+    cfg = replace(CFG, dt=4e-2)
+    reference = replace(cfg, dt=cfg.dt / 4.0, orbit_horizon=1.0)
+    for T in (0.1, 1.0, 10.0):
+        out = _average(g, T, small_grid, +1, fields, cfg)
+        ref = _average(g, T, small_grid, +1, fields, reference)
+        assert not out.fallback.any() and ref.fallback.all()
+        tol = out.quad_bound + ref.quad_bound + ref.tail_bound
+        assert np.max(np.abs(out.values - ref.values)) <= tol
+
+
+def test_table_is_cached_per_pack(well_eq, small_grid):
+    # one coefficient table per (grid, species, pack): the same block
+    # evaluator serves a second horizon and the projection limit with only
+    # the shape check evaluating it, and an equal SymbolPack is the same key
+    fields = well_eq.fields
+    g = _smooth_symbol(fields.period)
+    calls = []
+
+    def block(x, v1, v2):
+        calls.append(x.size)
+        return np.asarray(g(x, v1, v2), dtype=complex)[None]
+
+    first = average_symbol_pack(block, 0.4, small_grid, +1, fields, CFG)
+    assert len(calls) >= 2
+    calls.clear()
+    again = average_symbol_pack(block, 0.4, small_grid, +1, fields, CFG)
+    average_symbol_pack(block, np.inf, small_grid, +1, fields, CFG)
+    assert calls == [small_grid.size, small_grid.size]
+    assert np.array_equal(again.values, first.values)
+    entries = len(small_grid._orbit_cache)
+    for T in (0.4, 2.0):
+        pack = averaging.SymbolPack(k_max=1, period=fields.period)
+        average_symbol_pack(pack, T, small_grid, +1, fields, CFG)
+    assert len(small_grid._orbit_cache) == entries + 1
 
 
 def test_qt_points_rejects_infinite_horizon(well_eq, small_grid):
@@ -278,15 +349,16 @@ def test_qt_converges_to_orbit_average(well_eq, small_grid):
 
 
 def test_tail_bound_honesty(free_eq, free_grid):
-    # horizon chosen so both truncation windows stay below every orbit
-    # period (at least 2 pi / max |vhat1| = 6.8 here): the two runs then
-    # share their panel sequence and differ by pure tail mass
+    # the point path truncates its window at S_max = T log(1/epsilon);
+    # squaring epsilon doubles the window, and the two runs share their
+    # panel sequence up to the shorter one, so they differ by pure tail mass
     g = _character(1, free_eq.fields.period)
-    s1 = _average(g, 0.1, free_grid, +1, free_eq.fields, CFG)
-    # squaring epsilon doubles the truncation window
+    X, V1, V2 = free_grid.X, free_grid.V1, free_grid.V2
+    s1 = apply_QT_points(g, 0.1, X, V1, V2, +1, free_eq.fields, CFG)
     doubled = replace(CFG, epsilon_tail=CFG.epsilon_tail ** 2)
-    s2 = _average(g, 0.1, free_grid, +1, free_eq.fields, doubled)
-    assert np.max(np.abs(s2.values - s1.values)) <= s1.tail_bound + 1e-15
+    s2 = apply_QT_points(g, 0.1, X, V1, V2, +1, free_eq.fields, doubled)
+    tail_bound = float(np.exp(-CFG.s_max(0.1) / 0.1))
+    assert np.max(np.abs(s2 - s1)) <= tail_bound + 1e-15
 
 
 def test_qt_propagates_drift_budget(well_eq, small_grid):

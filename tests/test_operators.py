@@ -311,6 +311,38 @@ def test_m_continuity_in_horizon(well_eq, well_disc):
     assert diff <= 50.0 * 0.1
 
 
+def test_one_backward_pass_serves_every_horizon(well_eq, monkeypatch):
+    # a fresh grid, so no other test has filled its cache: the first
+    # assembly steps each species' orbits once, and a second finite horizon
+    # and the projection limit read the cached tables without a step
+    from vmstab import averaging, trajectories
+    grid = PhaseGrid.from_equilibrium(well_eq, n_x=4,
+                                      quad=VelocityQuadrature.build(4, 7.0))
+    disc = DiscretizationSpec(k_max=1, grid=grid,
+                              avg=AveragingConfig(dt=1e-2))
+    steps = []
+
+    def counting(make_stepper):
+        def make_counted(fields, sign):
+            step = make_stepper(fields, sign)
+
+            def counted(Y, h):
+                steps.append(Y.shape[1])
+                return step(Y, h)
+            return counted
+        return make_counted
+
+    for module in (averaging, trajectories):
+        monkeypatch.setattr(module, "make_stepper",
+                            counting(module.make_stepper))
+    assemble(0.5, well_eq, disc)
+    assert steps
+    steps.clear()
+    assemble(3.0, well_eq, disc)
+    assemble(np.inf, well_eq, disc)
+    assert steps == []
+
+
 # ---------------------------------------------------------------------------
 # truncation
 
