@@ -315,8 +315,9 @@ def _tail_projectors():
 
 @_check(12, "thread-count determinism")
 def _determinism():
-    # 136 x-nodes times a 4x4 velocity rule is 2176 nodes per species, two
-    # node batches, so threads 4 and 8 really share the work
+    # 136 x-nodes times a 4x4 velocity rule is 2176 nodes per species, more
+    # than one node batch, so threads 4 and 8 really share the work; the
+    # orbit passes batch both species together, 4352 nodes in three batches
     import contextlib
     import io
     from .averaging import _CHUNK
@@ -327,8 +328,7 @@ def _determinism():
                  "averaging.dt=5e-3"]
     cfg = validate_config(overrides=overrides)
     nodes = cfg["operators.n_x"] * cfg["operators.quad_nv"] ** 2
-    batches = -(-nodes // _CHUNK)
-    if batches < 2:
+    if nodes <= _CHUNK:
         return False, (f"{nodes} nodes per species fit in one batch of "
                        f"{_CHUNK}; no thread pool would start")
     base = ["criterion"]
@@ -348,9 +348,10 @@ def _determinism():
                 for p in sorted(out.iterdir())
                 if p.name != "manifest.json"})
     ok = digests[0] == digests[1] == digests[2]
+    batches = -(-2 * nodes // _CHUNK)
     return ok, (f"{len(digests[0])} artifacts bitwise identical across "
-                f"threads 1, 4, 8; {nodes} nodes per species in "
-                f"{batches} batches")
+                f"threads 1, 4, 8; {nodes} nodes per species, both "
+                f"species in {batches} batches")
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ phase grid, for a whole block of symbols riding the same trajectories;
 apply_QT_points takes Q^T at arbitrary points.
 
 On a grid every orbit that the first-return table closes is periodic
-modulo the spatial period, with period tau.  One backward pass samples
-each such orbit at M equispaced times over one period and an FFT turns
-the samples into coefficients c_m of g(Z(-s)) = sum_m c_m e^{i nu_m s},
-nu_m = 2 pi m / tau.  Then Q^T g = sum_m c_m / (1 - i nu_m T) holds for
-every T at once and Q^inf g = c_0; the equispaced periodic trapezoid rule
-behind the c_m converges geometrically for smooth symbols.  The
-coefficient table is cached on the grid, so each further horizon is a
-contraction of cached arrays.
+modulo the spatial period, with period tau.  One backward pass, over the
+nodes of both species in one batch, samples each such orbit at M
+equispaced times over one period, and an FFT turns the samples into
+coefficients c_m of g(Z(-s)) = sum_m c_m e^{i nu_m s}, nu_m = 2 pi m /
+tau.  Then Q^T g = sum_m c_m / (1 - i nu_m T) holds for every T at once
+and Q^inf g = c_0; the equispaced periodic trapezoid rule behind the c_m
+converges geometrically for smooth symbols.  The coefficient table is
+cached on the grid, so each further horizon is a contraction of cached
+arrays.
 
 Nodes whose orbit never closed, and every point of apply_QT_points,
 integrate a truncated backward window S_max = T log(1/epsilon_tail) with
@@ -25,6 +26,7 @@ moment of a linear interpolant of the integrand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -36,9 +38,10 @@ from .errors import ConfigError, DriftExceeded
 from .fourier import uniform_grid
 from .trajectories import OrbitTable, make_stepper, orbit_table
 
-# node batch size of the backward passes and first-return tables; it fixes
-# the work decomposition independently of the thread count, so results are
-# bitwise reproducible
+# node batch size of the backward passes and first-return tables (which
+# batch the 2N nodes of both species by merged index); it fixes the work
+# decomposition independently of the thread count, so results are bitwise
+# reproducible
 _CHUNK = 2048
 
 # samples per orbit period in the coefficient tables
@@ -330,30 +333,63 @@ def _cached(grid: PhaseGrid, key, fields: FieldProfile, build: Callable):
     return entry[1]
 
 
+# species of the merged passes, in merged-index order
+_SPECIES = (+1, -1)
+
+
+def _cached_species(grid: PhaseGrid, key, sign: int, fields: FieldProfile,
+                    build: Callable):
+    """The entry of one species from a pass that serves both.
+
+    build() returns one entry per species of _SPECIES; all of them are
+    cached under (key, species), so the other species finds its entry.
+    """
+    grid.norm_weight(sign)  # rejects anything but +1 and -1
+    entry = grid._orbit_cache.get((key, sign))
+    if entry is None or entry[0] is not fields:
+        for s, value in zip(_SPECIES, build()):
+            grid._orbit_cache[(key, s)] = (fields, value)
+        entry = grid._orbit_cache[(key, sign)]
+    return entry[1]
+
+
+def _merged_nodes(grid: PhaseGrid):
+    """Both species' copies of the grid nodes, (X, V1, V2, signs), 2N each."""
+    signs = np.repeat(np.array(_SPECIES, dtype=float), grid.size)
+    return (np.tile(grid.X, 2), np.tile(grid.V1, 2), np.tile(grid.V2, 2),
+            signs)
+
+
 def orbit_summary(grid: PhaseGrid, sign: int, fields: FieldProfile,
                   cfg: AveragingConfig = AveragingConfig()) -> OrbitTable:
     """First-return data for every grid node, cached on the grid.
 
-    The cache key covers the species sign and the detection settings; the
-    field profile is compared by identity, so rebuilding fields invalidates
-    the entry.
+    The first call for either species classifies the 2N nodes of both
+    species in one pass, in _CHUNK batches by merged index (species +1
+    first), and caches both tables; the other species then reads its
+    table without a step.  The cache key covers the detection settings;
+    the field profile is compared by identity, so rebuilding fields
+    invalidates the entries.
     """
-    def worker(lo, hi):
-        return orbit_table(grid.X[lo:hi], grid.V1[lo:hi], grid.V2[lo:hi],
-                           fields, sign, cfg.orbit_dt,
-                           horizon=cfg.orbit_horizon,
-                           return_tol=cfg.return_tol)
-
     def build():
-        parts = run_chunks(worker, grid.size, _CHUNK, cfg.threads)
-        return OrbitTable(
-            tau=np.concatenate([p.tau for p in parts]),
-            winding=np.concatenate([p.winding for p in parts]),
-            residual=np.concatenate([p.residual for p in parts]),
-            found=np.concatenate([p.found for p in parts]))
+        X, V1, V2, signs = _merged_nodes(grid)
 
-    key = (sign, cfg.orbit_dt, cfg.orbit_horizon, cfg.return_tol)
-    return _cached(grid, key, fields, build)
+        def worker(lo, hi):
+            return orbit_table(X[lo:hi], V1[lo:hi], V2[lo:hi], fields,
+                               signs[lo:hi], cfg.orbit_dt,
+                               horizon=cfg.orbit_horizon,
+                               return_tol=cfg.return_tol)
+
+        parts = run_chunks(worker, X.size, _CHUNK, cfg.threads)
+        merged = {name: np.concatenate([getattr(p, name) for p in parts])
+                  for name in ("tau", "winding", "residual", "found")}
+        n = grid.size
+        return [OrbitTable(**{name: a[k * n:(k + 1) * n]
+                              for name, a in merged.items()})
+                for k in range(len(_SPECIES))]
+
+    key = ("orbits", cfg.orbit_dt, cfg.orbit_horizon, cfg.return_tol)
+    return _cached_species(grid, key, sign, fields, build)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +400,7 @@ def orbit_summary(grid: PhaseGrid, sign: int, fields: FieldProfile,
 class _OrbitSamples:
     """One backward period of every closed grid orbit, sampled M times.
 
+    One species' share of the backward pass that serves both species.
     closed marks the grid nodes whose orbit the first-return table closed;
     for the i-th of them, states[:, i, j] is the phase point Z(-j tau_i / M)
     for j = 0..M, so the last sample should repeat the first (modulo the
@@ -377,11 +414,12 @@ class _OrbitSamples:
     drift: np.ndarray
 
 
-def _chunk_samples(X, V1, V2, tau, fields, sign, dt):
+def _chunk_samples(X, V1, V2, tau, fields, signs, dt):
     """Backward pass of a node batch: (states (3, n, M + 1), drift (n,)).
 
-    Node i steps with h_i = tau_i / (M s_i), s_i = ceil(tau_i / (M dt)), so
-    its step never exceeds dt, and keeps every s_i-th state.
+    Node i, of the species signs[i], steps with h_i = tau_i / (M s_i),
+    s_i = ceil(tau_i / (M dt)), so its step never exceeds dt, keeps every
+    s_i-th state, and leaves the batch after its last sample.
     """
     n = X.size
     M = _SAMPLES
@@ -390,13 +428,13 @@ def _chunk_samples(X, V1, V2, tau, fields, sign, dt):
     if n == 0:
         return states, drift
     period = fields.period
-    step = make_stepper(fields, sign)
+    step = make_stepper(fields, signs)
     stride = np.ceil(tau / (M * dt)).astype(np.int64)
     h = tau / (M * stride)
 
     Y = np.array([X, V1, V2], dtype=float)
     states[:, :, 0] = Y
-    e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, sign)
+    e0, p0 = invariants_of(Y[0], Y[1], Y[2], fields, signs)
     alive = np.arange(n)
     k = 0
     while alive.size:
@@ -412,7 +450,7 @@ def _chunk_samples(X, V1, V2, tau, fields, sign, dt):
         done[due[j == M]] = True
         if np.any(done):
             ef, pf = invariants_of(Y[0, done], Y[1, done], Y[2, done],
-                                   fields, sign)
+                                   fields, signs[done])
             drift[alive[done]] = np.maximum(np.abs(ef - e0[done]),
                                             np.abs(pf - p0[done]))
             keep = ~done
@@ -422,30 +460,46 @@ def _chunk_samples(X, V1, V2, tau, fields, sign, dt):
             e0 = e0[keep]
             p0 = p0[keep]
             alive = alive[keep]
+            signs = signs[keep]
+            if alive.size:
+                step = make_stepper(fields, signs)
     return states, drift
 
 
 def _orbit_samples(grid: PhaseGrid, sign: int, fields: FieldProfile,
                    cfg: AveragingConfig) -> _OrbitSamples:
-    """The grid-cached backward pass of one species; every pack reads it."""
+    """The grid-cached backward pass; every pack of either species reads it.
+
+    The first call for either species steps the closed orbits of both
+    species in one pass over the 2N merged nodes, in _CHUNK batches by
+    merged index, and caches both species' samples.  The drift budget is
+    checked on every call, so a stricter drift_tol still raises.
+    """
     def build():
-        orbits = orbit_summary(grid, sign, fields, cfg)
-        closed = orbits.found
+        tables = [orbit_summary(grid, s, fields, cfg) for s in _SPECIES]
+        closed = np.concatenate([t.found for t in tables])
+        tau = np.concatenate([t.tau for t in tables])
+        X, V1, V2, signs = _merged_nodes(grid)
 
         def worker(lo, hi):
             sel = np.flatnonzero(closed[lo:hi]) + lo
-            return _chunk_samples(grid.X[sel], grid.V1[sel], grid.V2[sel],
-                                  orbits.tau[sel], fields, sign, cfg.dt)
+            return _chunk_samples(X[sel], V1[sel], V2[sel], tau[sel], fields,
+                                  signs[sel], cfg.dt)
 
-        parts = run_chunks(worker, grid.size, _CHUNK, cfg.threads)
-        return _OrbitSamples(
-            closed=closed, tau=orbits.tau[closed],
-            states=np.concatenate([p[0] for p in parts], axis=1),
-            drift=np.concatenate([p[1] for p in parts]))
+        parts = run_chunks(worker, X.size, _CHUNK, cfg.threads)
+        states = np.concatenate([p[0] for p in parts], axis=1)
+        drift = np.concatenate([p[1] for p in parts])
+        out, lo = [], 0
+        for t in tables:
+            hi = lo + int(np.sum(t.found))
+            out.append(_OrbitSamples(closed=t.found, tau=t.tau[t.found],
+                                     states=states[:, lo:hi],
+                                     drift=drift[lo:hi]))
+            lo = hi
+        return out
 
-    key = ("samples", sign, cfg.dt, cfg.orbit_dt, cfg.orbit_horizon,
-           cfg.return_tol)
-    samples = _cached(grid, key, fields, build)
+    key = ("samples", cfg.dt, cfg.orbit_dt, cfg.orbit_horizon, cfg.return_tol)
+    samples = _cached_species(grid, key, sign, fields, build)
     if samples.tau.size:
         _check_drift(samples.drift, samples.tau, cfg)
     return samples
@@ -479,8 +533,8 @@ class _OrbitCoefficients:
 def _orbit_coefficients(pack, evaluate, n_sym, grid, sign, fields, cfg):
     """The grid-cached coefficient table of one symbol block and species.
 
-    The key holds pack itself: a SymbolPack compares by value, a block
-    evaluator by identity.
+    The key holds pack itself: a SymbolPack compares by value, a plain
+    block evaluator by identity.
     """
     samples = _orbit_samples(grid, sign, fields, cfg)
     M = _SAMPLES
@@ -545,11 +599,12 @@ def average_symbol_pack(pack: Union[SymbolPack, Callable], T: float,
     pack is a SymbolPack or a block evaluator (x, v1, v2) -> (n_sym, n);
     every row rides the same trajectories, so averaging several symbols in
     one call costs little more than averaging one.  The backward pass that
-    samples every closed orbit runs once per grid and species; a pack's
-    first call evaluates its block on those samples, and every later
-    horizon contracts the cached coefficients.  A SymbolPack is cached by
-    value and a block evaluator by identity.  Nodes whose orbit never
-    closed still integrate their window on every call.
+    samples every closed orbit runs once per grid for both species; a
+    pack's first call evaluates its block on those samples, and every
+    later horizon contracts the cached coefficients.  The cache compares
+    packs with ==: a SymbolPack by value, a plain block evaluator by
+    identity.  Nodes whose orbit never closed still integrate their
+    window on every call.
     """
     infinite = T == np.inf
     if not infinite:
@@ -624,6 +679,34 @@ def apply_QT_points(g: Callable, T: float, x, v1, v2, sign: int,
 # norm probe
 
 
+@dataclass(frozen=True)
+class _NormProbe:
+    """The random block evaluator of qt_operator_norm_probe.
+
+    It compares by value, so an identical probe reads the coefficient
+    table that the first one cached.
+    """
+
+    k_max: int
+    trials: int
+    seed: int
+    period: float
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        rng = np.random.default_rng(self.seed)
+        shape = (self.trials, 2 * self.k_max + 1, 3)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def __call__(self, x, v1, v2):
+        omega = 2.0 * np.pi / self.period
+        zk = _powers(np.exp(1j * omega * x), self.k_max)
+        full = np.concatenate([zk[:0:-1].conj(), zk], axis=0)
+        g = np.sqrt(1.0 + v1 * v1 + v2 * v2)
+        m = np.stack([np.ones_like(x), v1 / g, v2 / g])
+        return np.einsum("tkj,kn,jn->tn", self.coeffs, full, m)
+
+
 def qt_operator_norm_probe(T: float, grid: PhaseGrid, sign: int,
                            fields: FieldProfile, trials: int, *,
                            cfg: Optional[AveragingConfig] = None,
@@ -634,7 +717,9 @@ def qt_operator_norm_probe(T: float, grid: PhaseGrid, sign: int,
     velocity factors {1, vhat1, vhat2} and Gaussian coefficients.  The
     degree must stay below the x-grid Nyquist: an aliased character pair
     shares grid samples while Q^T treats its members differently, which
-    would corrupt the discrete ratio.  One backward pass serves all trials.
+    would corrupt the discrete ratio.  One coefficient table serves all
+    trials and every repeat of the probe with the same k_max, trials and
+    seed.
     """
     if trials < 1:
         raise ConfigError(f"need at least one probe, got {trials}")
@@ -643,18 +728,8 @@ def qt_operator_norm_probe(T: float, grid: PhaseGrid, sign: int,
             f"probe degree {k_max} aliases on {grid.x.size} x-nodes")
     if cfg is None:
         cfg = AveragingConfig()
-    rng = np.random.default_rng(seed)
-    shape = (trials, 2 * k_max + 1, 3)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    omega = 2.0 * np.pi / grid.period
-
-    def evaluate(x, v1, v2):
-        zk = _powers(np.exp(1j * omega * x), k_max)
-        full = np.concatenate([zk[:0:-1].conj(), zk], axis=0)
-        g = np.sqrt(1.0 + v1 * v1 + v2 * v2)
-        m = np.stack([np.ones_like(x), v1 / g, v2 / g])
-        return np.einsum("tkj,kn,jn->tn", c, full, m)
-
+    evaluate = _NormProbe(k_max=k_max, trials=trials, seed=seed,
+                          period=grid.period)
     values = average_symbol_pack(evaluate, T, grid, sign, fields, cfg).values
     g0 = evaluate(grid.X, grid.V1, grid.V2)
     w = grid.W * grid.norm_weight(sign)

@@ -319,10 +319,23 @@ class FieldProfile:
 # invariants and moments
 
 
-def invariants_of(x, v1, v2, fields: FieldProfile, sign: int):
-    """Pointwise invariants (e, p) for the species tagged by sign."""
-    if sign not in (+1, -1):
-        raise ConfigError(f"species sign must be +1 or -1, got {sign}")
+def species_sign(sign):
+    """A scalar species sign +1 or -1 as given, or a per-node array of them
+    as floats; anything else is a ConfigError."""
+    s = np.asarray(sign)
+    if s.ndim == 0:
+        if sign not in (+1, -1):
+            raise ConfigError(f"species sign must be +1 or -1, got {sign}")
+        return sign
+    if s.dtype.kind not in "iuf" or not np.all(np.abs(s) == 1):
+        raise ConfigError("per-node species signs must all be +1 or -1")
+    return s.astype(float)
+
+
+def invariants_of(x, v1, v2, fields: FieldProfile, sign):
+    """Pointwise invariants (e, p) for the species tagged by sign, a scalar
+    or a per-node array."""
+    sign = species_sign(sign)
     e = lorentz_factor(v1, v2) + sign * fields.phi(x)
     p = v2 + sign * fields.psi(x)
     return e, p

@@ -4,8 +4,9 @@ The three unknowns of the linearized system are the electric potential
 (zero-mean, since only its gradient acts), the magnetic potential, and one
 scalar amplitude; all operator entries reduce to weighted phase-space
 quadratures of ergodic averages against the orthonormal trig basis.  One
-packed backward pass per species serves every basis function, because the
-averaging cost is dominated by the trajectory integration.
+backward pass over the orbits of both species serves every basis function
+and every horizon, because the averaging cost is dominated by the
+trajectory integration.
 
 The continuum operators are self-adjoint, so the discrete matrices are
 symmetrized after assembly and the pre-symmetrization defect is kept as a

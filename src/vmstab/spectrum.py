@@ -446,10 +446,10 @@ def reconstruct_mode(eq: EquilibriumSpec, disc: DiscretizationSpec, T: float,
     f = sign (mu_e phi + mu_p psi - mu_e Q^T(phi - vhat2 psi - b vhat1))
     evaluated on the discretization grid, with Q^T taken by
     apply_QT_points.  The reported residual feeds the same reconstruction
-    at points advanced one fd_step along the flow, so both evaluations
-    share the truncated-window code path, and the residual checks the mode
-    that the orbit-Fourier grid averages produced against an independent
-    quadrature.
+    at points advanced one fd_step along the flow; both point sets go
+    through one apply_QT_points call per species, so they share the
+    truncated-window code path, and the residual checks the mode that the
+    orbit-Fourier grid averages produced against an independent quadrature.
     """
     T = float(T)
     if not (T > 0.0 and np.isfinite(T)):
@@ -474,24 +474,27 @@ def reconstruct_mode(eq: EquilibriumSpec, disc: DiscretizationSpec, T: float,
         basis = real_basis_matrix(K, x, period)
         return phi @ basis - (v2 / gam) * (psi @ basis) - b * (v1 / gam)
 
-    def f_at(sign, prof, x, v1, v2):
+    def f_at(sign, prof, x, v1, v2, avg):
         e, p = invariants_of(x, v1, v2, fields, sign)
         me, mp = prof.mu_e(e, p), prof.mu_p(e, p)
         basis = real_basis_matrix(K, x, period)
-        avg = apply_QT_points(g_symbol, T, x, v1, v2, sign, fields,
-                              disc.avg).real
         return sign * (me * (phi @ basis) + mp * (psi @ basis) - me * avg)
 
     out = {}
     residual = 0.0
+    n = grid.size
     for sign, prof in ((+1, eq.plus), (-1, eq.minus)):
         x0, v10, v20 = grid.X, grid.V1, grid.V2
         step = make_stepper(fields, sign)
         y1 = step(np.array([x0, v10, v20], dtype=float), fd_step)
         x1 = np.mod(y1[0], period)
+        avg = apply_QT_points(g_symbol, T, np.concatenate([x0, x1]),
+                              np.concatenate([v10, y1[1]]),
+                              np.concatenate([v20, y1[2]]), sign, fields,
+                              disc.avg).real
 
-        f0 = f_at(sign, prof, x0, v10, v20)
-        f1 = f_at(sign, prof, x1, y1[1], y1[2])
+        f0 = f_at(sign, prof, x0, v10, v20, avg[:n])
+        f1 = f_at(sign, prof, x1, y1[1], y1[2], avg[n:])
 
         gam = np.sqrt(1.0 + v10 * v10 + v20 * v20)
         vh1, vh2 = v10 / gam, v20 / gam

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .equilibrium import FieldProfile, lorentz_factor
+from .equilibrium import FieldProfile, lorentz_factor, species_sign
 from .errors import ConfigError
 from .fourier import horner_eval
 
@@ -38,10 +38,16 @@ class OrbitTable:
 # right-hand side and steppers
 
 
-def make_rhs(fields: FieldProfile, sign: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized derivative of the packed state Y = [x, v1, v2] (3, N)."""
-    if sign not in (+1, -1):
-        raise ConfigError(f"species sign must be +1 or -1, got {sign}")
+def make_rhs(fields: FieldProfile, sign) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized derivative of the packed state Y = [x, v1, v2] (3, N).
+
+    sign is the species sign +1 or -1, or an (N,) array of them, one per
+    node, so one batch can carry both species; anything else is a
+    ConfigError.  The sign only multiplies the force, and a product with
+    +-1 is exact, so a node's derivative does not depend on the batch it
+    rides in.
+    """
+    sign = species_sign(sign)
     zero_fields = fields.is_zero
     e_coeffs = fields.E1_series.coeffs
     b_coeffs = fields.B_series.coeffs
@@ -87,8 +93,13 @@ def _gbs6_step(Y, h, rhs):
     return t31 + (t31 - t21) / 8.0
 
 
-def make_stepper(fields: FieldProfile, sign: int):
-    """One-step map (Y, h) -> Y_next; h may be a scalar or per-node array."""
+def make_stepper(fields: FieldProfile, sign):
+    """One-step map (Y, h) -> Y_next; h may be a scalar or per-node array.
+
+    sign is a scalar or a per-node array as in make_rhs; with an array the
+    stepper only takes batches of that many nodes, so a caller that drops
+    nodes from its batch builds a new stepper on the surviving signs.
+    """
     rhs = make_rhs(fields, sign)
     return lambda Y, h: _gbs6_step(Y, h, rhs)
 
@@ -101,7 +112,7 @@ def _wrap_centered(dx: np.ndarray, period: float) -> np.ndarray:
     return np.mod(dx + 0.5 * period, period) - 0.5 * period
 
 
-def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int, dt: float,
+def orbit_table(x0, v10, v20, fields: FieldProfile, sign, dt: float,
                 horizon: float = 200.0, return_tol: float = 1e-8) -> OrbitTable:
     """Classify the orbit through every start point of a batch.
 
@@ -110,6 +121,12 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int, dt: float,
     with v1 ~ 0 the section {v1 = 0} near x0 is used instead.  Detected
     crossings are refined by bisection inside the bracketing step.  Orbits
     that do not return within the horizon are flagged not-found.
+
+    sign is the species sign, or an (N,) array of signs so that one batch
+    classifies both species.  A node leaves the batch as soon as its
+    return is bracketed, so the batch shrinks as orbits close and the
+    number of steps is set by the longest return; a node's own arithmetic
+    is the same in any batch.
     """
     X0 = np.asarray(x0, dtype=float).ravel()
     V10 = np.asarray(v10, dtype=float).ravel()
@@ -120,8 +137,14 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int, dt: float,
         raise ConfigError(f"dt must be positive, got {dt}")
     if dt >= period / 8.0:
         raise ConfigError("dt too large for reliable section detection")
+    signs = species_sign(sign)
+    if np.ndim(signs) == 0:
+        signs = np.full(N, float(signs))
+    elif signs.shape != (N,):
+        raise ConfigError(f"need one species sign per node, got "
+                          f"{signs.shape} for {N} nodes")
 
-    step = make_stepper(fields, sign)
+    step = make_stepper(fields, signs)
     Y = np.array([X0.copy(), V10.copy(), V20.copy()])
     g0 = lorentz_factor(V10, V20)
     vh10 = V10 / g0
@@ -130,28 +153,37 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int, dt: float,
 
     n_steps = int(np.ceil(horizon / dt))
     done = np.zeros(N, dtype=bool)
-    departed = np.zeros(N, dtype=bool)
     anchor_Y = np.zeros((3, N))
     anchor_s = np.zeros(N)
 
+    # per-node state of the nodes still in the batch
+    alive = np.arange(N)
+    x_ref, sig, v1sec = X0, sig0, use_v1_section
+    departed = np.zeros(N, dtype=bool)
     xi_prev = np.zeros(N)
     v1_prev = V10.copy()
     for i in range(1, n_steps + 1):
         Y_new = step(Y, dt)
-        xi = _wrap_centered(Y_new[0] - X0, period)
+        xi = _wrap_centered(Y_new[0] - x_ref, period)
         departed |= np.abs(xi) > 10.0 * return_tol * period
         if i > 2:
-            eligible = departed & ~done
             flip_x = (xi_prev * xi <= 0.0) & (np.abs(xi_prev) < 0.25 * period) \
-                & (np.abs(xi) < 0.25 * period) & (Y_new[1] * sig0 >= 0.0)
+                & (np.abs(xi) < 0.25 * period) & (Y_new[1] * sig >= 0.0)
             flip_v = (v1_prev * Y_new[1] <= 0.0) & (np.abs(xi) < 0.125 * period)
-            hit = np.where(use_v1_section, flip_v, flip_x) & eligible
+            hit = np.where(v1sec, flip_v, flip_x) & departed
             if np.any(hit):
-                anchor_Y[:, hit] = Y[:, hit]
-                anchor_s[hit] = (i - 1) * dt
-                done |= hit
-                if np.all(done):
+                returned = alive[hit]
+                anchor_Y[:, returned] = Y[:, hit]
+                anchor_s[returned] = (i - 1) * dt
+                done[returned] = True
+                keep = ~hit
+                if not np.any(keep):
                     break
+                alive = alive[keep]
+                x_ref, sig, v1sec = x_ref[keep], sig[keep], v1sec[keep]
+                departed = departed[keep]
+                Y_new, xi = Y_new[:, keep], xi[keep]
+                step = make_stepper(fields, signs[alive])
         Y = Y_new
         xi_prev = xi
         v1_prev = Y_new[1].copy()
@@ -162,6 +194,7 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int, dt: float,
     found = done.copy()
     if np.any(done):
         idx = np.nonzero(done)[0]
+        step = make_stepper(fields, signs[idx])
         Ya = anchor_Y[:, idx]
         lo = np.zeros(idx.size)
         hi = np.full(idx.size, dt)
@@ -190,4 +223,3 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign: int, dt: float,
         bad = res > 100.0 * return_tol
         found[idx[bad]] = False
     return OrbitTable(tau=tau, winding=winding, residual=residual, found=found)
-

@@ -430,6 +430,18 @@ def test_norm_probe_magnetized_slack(well_eq, well_grid):
     assert r <= 1.0 + 5e-3
 
 
+def test_norm_probe_repeat_reads_cached_table(well_eq, well_grid):
+    # an identical probe is the same cache key, so it adds no coefficient
+    # table and reads the same ratio
+    first = qt_operator_norm_probe(1.0, well_grid, +1, well_eq.fields,
+                                   trials=4, cfg=CFG, seed=7)
+    entries = len(well_grid._orbit_cache)
+    again = qt_operator_norm_probe(1.0, well_grid, +1, well_eq.fields,
+                                   trials=4, cfg=CFG, seed=7)
+    assert len(well_grid._orbit_cache) == entries
+    assert again == first
+
+
 def test_norm_probe_validates_degree(well_eq, well_grid):
     with pytest.raises(ConfigError):
         qt_operator_norm_probe(1.0, well_grid, +1, well_eq.fields, trials=2,

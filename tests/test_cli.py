@@ -195,8 +195,9 @@ def test_identical_configs_reproduce_bitwise(tmp_path):
 
 
 def test_thread_count_does_not_change_artifacts(tmp_path, monkeypatch):
-    # 64-node batches split the 288 nodes per species five ways, so four
-    # threads really share the work
+    # 64-node batches split the 288 nodes per species five ways, and the
+    # 576 nodes of both species' orbit passes nine ways, so four threads
+    # really share the work
     import vmstab._parallel
     import vmstab.averaging
     monkeypatch.setattr(vmstab.averaging, "_CHUNK", 64)

@@ -313,8 +313,9 @@ def test_m_continuity_in_horizon(well_eq, well_disc):
 
 def test_one_backward_pass_serves_every_horizon(well_eq, monkeypatch):
     # a fresh grid, so no other test has filled its cache: the first
-    # assembly steps each species' orbits once, and a second finite horizon
-    # and the projection limit read the cached tables without a step
+    # assembly steps the orbits of both species in one batch, and a second
+    # finite horizon, the projection limit and the other species' orbit
+    # table read the cached tables without a step
     from vmstab import averaging, trajectories
     grid = PhaseGrid.from_equilibrium(well_eq, n_x=4,
                                       quad=VelocityQuadrature.build(4, 7.0))
@@ -336,10 +337,11 @@ def test_one_backward_pass_serves_every_horizon(well_eq, monkeypatch):
         monkeypatch.setattr(module, "make_stepper",
                             counting(module.make_stepper))
     assemble(0.5, well_eq, disc)
-    assert steps
+    assert max(steps) == 2 * grid.size
     steps.clear()
     assemble(3.0, well_eq, disc)
     assemble(np.inf, well_eq, disc)
+    averaging.orbit_summary(grid, -1, well_eq.fields, disc.avg)
     assert steps == []
 
 

@@ -5,7 +5,8 @@ from scipy.integrate import quad
 
 from vmstab.equilibrium import FieldProfile, preset_equilibrium, invariants_of
 from vmstab.errors import ConfigError
-from vmstab.trajectories import make_stepper, orbit_table
+from vmstab import trajectories
+from vmstab.trajectories import make_rhs, make_stepper, orbit_table
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,56 @@ def test_orbit_table_batch_consistency(well):
         single = _orbit((xs[j], v1s[j], v2s[j]), well.fields)
         assert abs(tab.tau[j] - single.tau[0]) < 1e-10 * single.tau[0]
         assert tab.winding[j] == single.winding[0]
+
+
+def test_mixed_sign_batch_matches_single_species_tables(well):
+    # one batch carries both species; each node's table entry is bitwise
+    # the one its own species' batch gives
+    xs = np.array([0.0, 1.0, 2.0, 4.0, 5.5, 3.0])
+    v1s = np.array([0.3, 1.0, -0.5, 2.0, 0.0, -1.2])
+    v2s = np.array([-0.2, 0.5, 0.1, -1.0, 0.45, 0.3])
+    signs = np.array([+1, -1, -1, +1, -1, +1])
+    mixed = orbit_table(xs, v1s, v2s, well.fields, signs, 1e-2)
+    for s in (+1, -1):
+        m = signs == s
+        single = orbit_table(xs[m], v1s[m], v2s[m], well.fields, s, 1e-2)
+        assert np.array_equal(mixed.tau[m], single.tau, equal_nan=True)
+        assert np.array_equal(mixed.winding[m], single.winding)
+        assert np.array_equal(mixed.residual[m], single.residual,
+                              equal_nan=True)
+        assert np.array_equal(mixed.found[m], single.found)
+
+
+def test_bad_species_signs_rejected(well):
+    for bad in (0, 2, np.array([1, 0, -1]), np.array([1.0, 2.0])):
+        with pytest.raises(ConfigError):
+            make_rhs(well.fields, bad)
+    # a sign array must give one sign per start point
+    with pytest.raises(ConfigError):
+        orbit_table([0.0], [1.0], [0.0], well.fields, np.array([1, -1]), 1e-2)
+
+
+def test_returned_orbits_leave_the_batch(well, monkeypatch):
+    # periods from about 7 to about 33: nodes that have returned stop
+    # stepping, so the batch is narrower than N on most step calls
+    widths = []
+    real = trajectories.make_stepper
+
+    def counting(fields, sign):
+        step = real(fields, sign)
+
+        def counted(Y, h):
+            widths.append(Y.shape[1])
+            return step(Y, h)
+        return counted
+
+    monkeypatch.setattr(trajectories, "make_stepper", counting)
+    xs = np.array([0.0, 1.0, 2.0, 4.0])
+    v1s = np.array([3.0, 1.0, 0.3, 0.05])
+    v2s = np.array([0.0, 0.5, -0.2, 0.45])
+    tab = orbit_table(xs, v1s, v2s, well.fields, +1, 1e-2)
+    assert tab.found.all() and np.ptp(tab.tau) > 2.0 * np.min(tab.tau)
+    assert sum(widths) < xs.size * len(widths)
 
 
 def test_no_return_raises_within_short_horizon(well):
