@@ -31,21 +31,18 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._parallel import run_chunks
 from .equilibrium import (EquilibriumSpec, FieldProfile, SpeciesProfile,
                           VelocityQuadrature, invariants_of)
 from .errors import ConfigError, DriftExceeded
 from .fourier import uniform_grid
 from .trajectories import OrbitTable, make_stepper, orbit_table
 
-# node batch size of the backward passes and first-return tables (which
-# batch the 2N nodes of both species by merged index); it fixes the work
-# decomposition independently of the thread count, so results are bitwise
-# reproducible
-_CHUNK = 2048
-
 # samples per orbit period in the coefficient tables
 _SAMPLES = 128
+
+# T_big / period of the exponential average that stands in for Q^inf on
+# nodes whose orbit never closed
+_TBIG_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -60,13 +57,10 @@ class AveragingConfig:
     detection runs at the coarser orbit_dt (the return time is refined by
     bisection, so the fine step buys nothing there) up to orbit_horizon.
     Nodes with no detected return take the window at finite T and, at
-    T = inf, a normalized exponential average with T_big = tbig_factor *
-    period over a fallback_horizon window integrated at orbit_dt.
+    T = inf, a normalized exponential average with T_big = 1e3 * period
+    over a fallback_horizon window integrated at orbit_dt.
     drift_tol * max(1, integrated time) bounds the invariant drift of any
     node's pass.
-
-    threads is the number of workers sharing the fixed-size node batches;
-    it never changes a result.
     """
 
     dt: float = 1e-3
@@ -74,22 +68,23 @@ class AveragingConfig:
     drift_tol: float = 1e-8
     orbit_dt: float = 1e-2
     orbit_horizon: float = 200.0
-    return_tol: float = 1e-8
     fallback_horizon: float = 200.0
-    tbig_factor: float = 1e3
-    threads: int = 1
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and self.orbit_dt > 0.0):
-            raise ConfigError("integration steps must be positive")
+        # an infinite step never reaches a sample and a NaN budget never
+        # trips the drift guard, so both must be finite
+        if not (0.0 < self.dt < np.inf and 0.0 < self.orbit_dt < np.inf):
+            raise ConfigError(
+                f"integration steps must be positive and finite, got "
+                f"dt={self.dt}, orbit_dt={self.orbit_dt}")
+        if not 0.0 < self.drift_tol < np.inf:
+            raise ConfigError(
+                f"drift_tol must be positive and finite, got {self.drift_tol}")
         if not 0.0 < self.epsilon_tail < 1.0:
             raise ConfigError(
                 f"epsilon_tail must lie in (0, 1), got {self.epsilon_tail}")
-        if not (self.orbit_horizon > 0.0 and self.fallback_horizon > 0.0
-                and self.tbig_factor > 0.0):
+        if not (self.orbit_horizon > 0.0 and self.fallback_horizon > 0.0):
             raise ConfigError("horizons must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
 
     def s_max(self, T: float) -> float:
         return T * float(np.log(1.0 / self.epsilon_tail))
@@ -236,8 +231,8 @@ class SymbolPack:
 # truncated backward windows
 
 
-def _chunk_backward_integrals(evaluate, n_sym, X, V1, V2, stop, T,
-                              fields, sign, cfg, dt):
+def _backward_integrals(evaluate, n_sym, X, V1, V2, stop, T, fields, sign,
+                        cfg, dt):
     """Per-node integrals of e^{s/T} g_m(Z(s)) over s in [-stop_i, 0].
 
     Nodes leave the batch at their own stop time; the final panel shrinks
@@ -312,18 +307,6 @@ def _check_drift(drift, elapsed, cfg):
         raise DriftExceeded(float(drift[k]), float(budget[k]))
 
 
-def _backward_integrals(evaluate, n_sym, X, V1, V2, stop, T, fields, sign, cfg, dt):
-    def worker(lo, hi):
-        return _chunk_backward_integrals(evaluate, n_sym, X[lo:hi], V1[lo:hi],
-                                         V2[lo:hi], stop[lo:hi], T, fields,
-                                         sign, cfg, dt)
-
-    parts = run_chunks(worker, X.size, _CHUNK, cfg.threads)
-    acc = np.concatenate([p[0] for p in parts], axis=1)
-    max_d2 = np.max(np.stack([p[1] for p in parts]), axis=0)
-    return acc, max_d2
-
-
 def _cached(grid: PhaseGrid, key, fields: FieldProfile, build: Callable):
     """Grid-cached build(); the field profile is compared by identity."""
     entry = grid._orbit_cache.get(key)
@@ -365,30 +348,23 @@ def orbit_summary(grid: PhaseGrid, sign: int, fields: FieldProfile,
     """First-return data for every grid node, cached on the grid.
 
     The first call for either species classifies the 2N nodes of both
-    species in one pass, in _CHUNK batches by merged index (species +1
-    first), and caches both tables; the other species then reads its
-    table without a step.  The cache key covers the detection settings;
-    the field profile is compared by identity, so rebuilding fields
-    invalidates the entries.
+    species in one orbit_table call (species +1 first) and caches both
+    tables; the other species then reads its table without a step.  The
+    cache key covers the detection settings; the field profile is
+    compared by identity, so rebuilding fields invalidates the entries.
     """
     def build():
         X, V1, V2, signs = _merged_nodes(grid)
-
-        def worker(lo, hi):
-            return orbit_table(X[lo:hi], V1[lo:hi], V2[lo:hi], fields,
-                               signs[lo:hi], cfg.orbit_dt,
-                               horizon=cfg.orbit_horizon,
-                               return_tol=cfg.return_tol)
-
-        parts = run_chunks(worker, X.size, _CHUNK, cfg.threads)
-        merged = {name: np.concatenate([getattr(p, name) for p in parts])
-                  for name in ("tau", "winding", "residual", "found")}
+        merged = orbit_table(X, V1, V2, fields, signs, cfg.orbit_dt,
+                             horizon=cfg.orbit_horizon)
         n = grid.size
-        return [OrbitTable(**{name: a[k * n:(k + 1) * n]
-                              for name, a in merged.items()})
+        return [OrbitTable(tau=merged.tau[k * n:(k + 1) * n],
+                           winding=merged.winding[k * n:(k + 1) * n],
+                           residual=merged.residual[k * n:(k + 1) * n],
+                           found=merged.found[k * n:(k + 1) * n])
                 for k in range(len(_SPECIES))]
 
-    key = ("orbits", cfg.orbit_dt, cfg.orbit_horizon, cfg.return_tol)
+    key = ("orbits", cfg.orbit_dt, cfg.orbit_horizon)
     return _cached_species(grid, key, sign, fields, build)
 
 
@@ -414,8 +390,8 @@ class _OrbitSamples:
     drift: np.ndarray
 
 
-def _chunk_samples(X, V1, V2, tau, fields, signs, dt):
-    """Backward pass of a node batch: (states (3, n, M + 1), drift (n,)).
+def _period_samples(X, V1, V2, tau, fields, signs, dt):
+    """Backward pass over one period: (states (3, n, M + 1), drift (n,)).
 
     Node i, of the species signs[i], steps with h_i = tau_i / (M s_i),
     s_i = ceil(tau_i / (M dt)), so its step never exceeds dt, keeps every
@@ -471,24 +447,18 @@ def _orbit_samples(grid: PhaseGrid, sign: int, fields: FieldProfile,
     """The grid-cached backward pass; every pack of either species reads it.
 
     The first call for either species steps the closed orbits of both
-    species in one pass over the 2N merged nodes, in _CHUNK batches by
-    merged index, and caches both species' samples.  The drift budget is
-    checked on every call, so a stricter drift_tol still raises.
+    species in one pass over the 2N merged nodes and caches both species'
+    samples.  The drift budget is checked on every call, so a stricter
+    drift_tol still raises.
     """
     def build():
         tables = [orbit_summary(grid, s, fields, cfg) for s in _SPECIES]
         closed = np.concatenate([t.found for t in tables])
         tau = np.concatenate([t.tau for t in tables])
         X, V1, V2, signs = _merged_nodes(grid)
-
-        def worker(lo, hi):
-            sel = np.flatnonzero(closed[lo:hi]) + lo
-            return _chunk_samples(X[sel], V1[sel], V2[sel], tau[sel], fields,
-                                  signs[sel], cfg.dt)
-
-        parts = run_chunks(worker, X.size, _CHUNK, cfg.threads)
-        states = np.concatenate([p[0] for p in parts], axis=1)
-        drift = np.concatenate([p[1] for p in parts])
+        states, drift = _period_samples(X[closed], V1[closed], V2[closed],
+                                        tau[closed], fields, signs[closed],
+                                        cfg.dt)
         out, lo = [], 0
         for t in tables:
             hi = lo + int(np.sum(t.found))
@@ -498,7 +468,7 @@ def _orbit_samples(grid: PhaseGrid, sign: int, fields: FieldProfile,
             lo = hi
         return out
 
-    key = ("samples", cfg.dt, cfg.orbit_dt, cfg.orbit_horizon, cfg.return_tol)
+    key = ("samples", cfg.dt, cfg.orbit_dt, cfg.orbit_horizon)
     samples = _cached_species(grid, key, sign, fields, build)
     if samples.tau.size:
         _check_drift(samples.drift, samples.tau, cfg)
@@ -538,29 +508,22 @@ def _orbit_coefficients(pack, evaluate, n_sym, grid, sign, fields, cfg):
     """
     samples = _orbit_samples(grid, sign, fields, cfg)
     M = _SAMPLES
-    band = np.abs(np.fft.fftfreq(M, 1.0 / M)) >= M // 4
 
-    def worker(lo, hi):
-        Z = samples.states[:, lo:hi]
+    def build():
+        Z = samples.states
         g = np.asarray(evaluate(Z[0].ravel(), Z[1].ravel(), Z[2].ravel()))
-        g = g.reshape(n_sym, hi - lo, M + 1)
+        g = g.reshape(n_sym, samples.tau.size, M + 1)
         coeffs = np.fft.fft(g[..., :M], axis=-1) / M
+        band = np.abs(np.fft.fftfreq(M, 1.0 / M)) >= M // 4
         err = (np.sum(np.abs(coeffs[..., band]), axis=-1)
                + np.abs(g[..., M] - g[..., 0])
                + (M * np.finfo(float).eps) * np.max(np.abs(g), axis=-1))
-        return coeffs, err
-
-    def build():
-        parts = run_chunks(worker, samples.tau.size, _CHUNK, cfg.threads)
-        coeffs = [p[0] for p in parts] or [np.empty((n_sym, 0, M), complex)]
-        err = [p[1] for p in parts] or [np.empty((n_sym, 0))]
         nu = (2.0 * np.pi) * np.fft.fftfreq(M, 1.0 / M) / samples.tau[:, None]
         return _OrbitCoefficients(closed=samples.closed, nu=nu,
-                                  coeffs=np.concatenate(coeffs, axis=1),
-                                  err=np.concatenate(err, axis=1))
+                                  coeffs=coeffs, err=err)
 
     key = ("coefficients", sign, pack, cfg.dt, cfg.orbit_dt,
-           cfg.orbit_horizon, cfg.return_tol)
+           cfg.orbit_horizon)
     return _cached(grid, key, fields, build)
 
 
@@ -625,7 +588,7 @@ def average_symbol_pack(pack: Union[SymbolPack, Callable], T: float,
         if infinite:
             # a long exponential average, made orbit-scale-free by
             # normalizing the truncated weight exactly
-            t_w = cfg.tbig_factor * fields.period
+            t_w = _TBIG_FACTOR * fields.period
             stop, h = cfg.fallback_horizon, cfg.orbit_dt
             norm = t_w * -np.expm1(-stop / t_w)
         else:

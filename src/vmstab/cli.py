@@ -5,8 +5,8 @@ one module pipeline, and writes CSV/JSON artifacts plus a run manifest
 into the output directory.  Numeric CSV cells carry 17 significant
 digits; JSON objects are written with sorted keys; every artifact is
 listed in the manifest with its checksum.  Reduction orders are fixed, so
-identical configurations reproduce bitwise-identical artifacts no matter
-the thread count; only the manifest carries wall-clock values.
+identical configurations reproduce bitwise-identical artifacts; only the
+manifest carries wall-clock values.
 
 Exit codes: 0 success, 2 configuration error, 3 pipeline error, 4 audit
 failure (an internal consistency check such as the small-horizon count
@@ -149,8 +149,8 @@ def _build_equilibrium(cfg: ResolvedConfig) -> EquilibriumSpec:
         amplitude=cfg["equilibrium.amplitude"], **params)
 
 
-def _build_disc(eq: EquilibriumSpec, cfg: ResolvedConfig,
-                threads: int) -> DiscretizationSpec:
+def _build_disc(eq: EquilibriumSpec,
+                cfg: ResolvedConfig) -> DiscretizationSpec:
     quad = VelocityQuadrature.build(cfg["operators.quad_nv"],
                                     cfg["operators.quad_v_max"])
     grid = PhaseGrid.from_equilibrium(eq, n_x=cfg["operators.n_x"],
@@ -158,8 +158,7 @@ def _build_disc(eq: EquilibriumSpec, cfg: ResolvedConfig,
     avg = AveragingConfig(dt=cfg["averaging.dt"],
                           epsilon_tail=cfg["averaging.epsilon_tail"],
                           drift_tol=cfg["averaging.drift_tol"],
-                          orbit_dt=cfg["averaging.orbit_dt"],
-                          threads=threads)
+                          orbit_dt=cfg["averaging.orbit_dt"])
     return DiscretizationSpec(k_max=cfg["operators.k_max"], grid=grid,
                               sym_tol=cfg["operators.sym_tol"], avg=avg)
 
@@ -184,8 +183,8 @@ def _fallback_warnings(eq: EquilibriumSpec,
 # subcommand pipelines: each returns (extras, warnings)
 
 
-def _run_equilibrium(cfg: ResolvedConfig, out: Path,
-                     threads: int) -> Tuple[dict, List[str]]:
+def _run_equilibrium(cfg: ResolvedConfig,
+                     out: Path) -> Tuple[dict, List[str]]:
     eq = _build_equilibrium(cfg)
     eq.fields.to_csv(out / "fields.csv")
     report = {
@@ -202,10 +201,10 @@ def _run_equilibrium(cfg: ResolvedConfig, out: Path,
     return {"consistency_residual": eq.consistency_residual}, []
 
 
-def _run_criterion(cfg: ResolvedConfig, out: Path,
-                   threads: int) -> Tuple[dict, List[str]]:
+def _run_criterion(cfg: ResolvedConfig,
+                   out: Path) -> Tuple[dict, List[str]]:
     eq = _build_equilibrium(cfg)
-    disc = _build_disc(eq, cfg, threads)
+    disc = _build_disc(eq, cfg)
     ops_inf = assemble(np.inf, eq, disc)
     report = check_criterion(ops_inf)
     payload = report.as_dict()
@@ -234,10 +233,10 @@ def _run_criterion(cfg: ResolvedConfig, out: Path,
     return extras, _fallback_warnings(eq, disc)
 
 
-def _run_sweep(cfg: ResolvedConfig, out: Path,
-               threads: int) -> Tuple[dict, List[str]]:
+def _run_sweep(cfg: ResolvedConfig,
+               out: Path) -> Tuple[dict, List[str]]:
     eq = _build_equilibrium(cfg)
-    disc = _build_disc(eq, cfg, threads)
+    disc = _build_disc(eq, cfg)
     t_grid = list(cfg["sweep.T_grid"])
     result = sweep(eq, disc, cfg["sweep.n"], t_grid,
                    gap_tol=cfg["sweep.gap_tol"])
@@ -254,10 +253,10 @@ def _run_sweep(cfg: ResolvedConfig, out: Path,
             _fallback_warnings(eq, disc))
 
 
-def _run_mode(cfg: ResolvedConfig, out: Path,
-              threads: int) -> Tuple[dict, List[str]]:
+def _run_mode(cfg: ResolvedConfig,
+              out: Path) -> Tuple[dict, List[str]]:
     eq = _build_equilibrium(cfg)
-    disc = _build_disc(eq, cfg, threads)
+    disc = _build_disc(eq, cfg)
     report = find_crossing(eq, disc, cfg["mode.n"],
                            (cfg["mode.bracket_lo"], cfg["mode.bracket_hi"]),
                            gap_tol=cfg["sweep.gap_tol"],
@@ -322,8 +321,8 @@ def _run_ergodic_projector(cfg: ResolvedConfig, out: Path) -> dict:
     return {"projector_rows": len(rows)}
 
 
-def _run_ergodic(cfg: ResolvedConfig, out: Path,
-                 threads: int) -> Tuple[dict, List[str]]:
+def _run_ergodic(cfg: ResolvedConfig,
+                 out: Path) -> Tuple[dict, List[str]]:
     case = cfg["ergodic.case"]
     extras: dict = {}
     if case in ("weighted", "all"):
@@ -335,8 +334,8 @@ def _run_ergodic(cfg: ResolvedConfig, out: Path,
     return extras, []
 
 
-def _run_demo(cfg: ResolvedConfig, out: Path,
-              threads: int) -> Tuple[dict, List[str]]:
+def _run_demo(cfg: ResolvedConfig,
+              out: Path) -> Tuple[dict, List[str]]:
     # a fast end-to-end tour at reduced resolution: equilibrium summary,
     # a short horizon sweep, the criterion at infinite horizon, and one
     # ergodic series; heavier studies go through the dedicated commands
@@ -350,7 +349,7 @@ def _run_demo(cfg: ResolvedConfig, out: Path,
     extras: dict = {}
     warnings: List[str] = []
     for stage in (_run_equilibrium, _run_criterion, _run_sweep):
-        stage_extras, stage_warnings = stage(demo, out, threads)
+        stage_extras, stage_warnings = stage(demo, out)
         extras.update(stage_extras)
         warnings.extend(stage_warnings)
     extras.update(_run_ergodic_weighted(demo, out))
@@ -385,8 +384,7 @@ def run(run_cfg: RunConfig) -> Path:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     (out / "resolved_config.txt").write_text(cfg.echo())
     try:
-        extras, warnings = _PIPELINES[run_cfg.command](cfg, out,
-                                                       run_cfg.threads)
+        extras, warnings = _PIPELINES[run_cfg.command](cfg, out)
     except (ConfigError, *_AUDIT_ERRORS):
         raise
     except VmstabError as exc:
@@ -403,7 +401,6 @@ def run(run_cfg: RunConfig) -> Path:
         "config_source": cfg.source,
         "config_hash": cfg.sha256(),
         "overrides": list(run_cfg.overrides),
-        "threads": run_cfg.threads,
         "started_at": started,
         "finished_at": finished,
         "tolerances": {key: cfg[key] for key in (
@@ -423,8 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key = value configuration file")
     common.add_argument("--out", metavar="DIR", default="out",
                         help="output directory (default: out)")
-    common.add_argument("--threads", metavar="N", type=int, default=None,
-                        help="averaging threads (overrides the config)")
     common.add_argument("--set", metavar="KEY=VALUE", action="append",
                         default=[], dest="overrides",
                         help="override one config key (repeatable)")
@@ -465,11 +460,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides.append(f"ergodic.beta={args.beta}")
     try:
         resolved = validate_config(args.config, overrides)
-        threads = args.threads if args.threads is not None \
-            else resolved["averaging.threads"]
         run_cfg = RunConfig(command=args.command, resolved=resolved,
-                            out_dir=Path(args.out), threads=threads,
-                            emit_plots=args.emit_plots,
+                            out_dir=Path(args.out), emit_plots=args.emit_plots,
                             overrides=tuple(overrides))
         out = run(run_cfg)
     except ConfigError as exc:

@@ -114,6 +114,8 @@ _SCHEMA: Dict[str, Tuple[object, object]] = {
     "averaging.epsilon_tail": (1e-10, _parse_float),
     "averaging.drift_tol": (1e-8, _parse_float),
     "averaging.orbit_dt": (1e-2, _parse_float),
+    # averaging is serial; the key stays, pinned to 1, so configs that set
+    # averaging.threads=1 (perfbench/workloads.py does) still validate
     "averaging.threads": (1, _parse_int),
 
     "sweep.n": (4, _parse_int),
@@ -168,7 +170,8 @@ def _validate_values(values: Dict[str, object]) -> None:
         ("operators.quad_nv", lambda v: v >= 2, "needs at least 2 nodes"),
         ("operators.quad_v_max", lambda v: v > 0.0, "must be positive"),
         ("averaging.dt", lambda v: v > 0.0, "must be positive"),
-        ("averaging.threads", lambda v: v >= 1, "must be at least 1"),
+        ("averaging.threads", lambda v: v == 1,
+         "must be 1: averaging is serial"),
         ("sweep.n", lambda v: v >= 1, "must be at least 1"),
         ("mode.n", lambda v: v >= 1, "must be at least 1"),
         ("mode.fd_step", lambda v: v > 0.0, "must be positive"),
@@ -240,7 +243,6 @@ class RunConfig:
     command: str
     resolved: ResolvedConfig
     out_dir: Path
-    threads: int = 1
     emit_plots: bool = False
     overrides: Tuple[str, ...] = field(default_factory=tuple)
 
@@ -248,6 +250,3 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; "
                               f"choose from {COMMANDS}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, "
-                              f"got {self.threads}")

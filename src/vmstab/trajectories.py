@@ -108,12 +108,18 @@ def make_stepper(fields: FieldProfile, sign):
 # orbit detection
 
 
+# a section crossing counts once the node has moved 10 * _RETURN_TOL *
+# period away, and a refined return whose relative residual exceeds
+# 100 * _RETURN_TOL does not close the orbit
+_RETURN_TOL = 1e-8
+
+
 def _wrap_centered(dx: np.ndarray, period: float) -> np.ndarray:
     return np.mod(dx + 0.5 * period, period) - 0.5 * period
 
 
 def orbit_table(x0, v10, v20, fields: FieldProfile, sign, dt: float,
-                horizon: float = 200.0, return_tol: float = 1e-8) -> OrbitTable:
+                horizon: float = 200.0) -> OrbitTable:
     """Classify the orbit through every start point of a batch.
 
     Integrates forward at the fixed step dt looking for the first crossing
@@ -165,7 +171,7 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign, dt: float,
     for i in range(1, n_steps + 1):
         Y_new = step(Y, dt)
         xi = _wrap_centered(Y_new[0] - x_ref, period)
-        departed |= np.abs(xi) > 10.0 * return_tol * period
+        departed |= np.abs(xi) > 10.0 * _RETURN_TOL * period
         if i > 2:
             flip_x = (xi_prev * xi <= 0.0) & (np.abs(xi_prev) < 0.25 * period) \
                 & (np.abs(xi) < 0.25 * period) & (Y_new[1] * sig >= 0.0)
@@ -220,6 +226,6 @@ def orbit_table(x0, v10, v20, fields: FieldProfile, sign, dt: float,
         dv2 = (Yr[2] - V20[idx]) / (1.0 + np.abs(V20[idx]))
         res = np.sqrt(dxi * dxi + dv1 * dv1 + dv2 * dv2)
         residual[idx] = res
-        bad = res > 100.0 * return_tol
+        bad = res > 100.0 * _RETURN_TOL
         found[idx[bad]] = False
     return OrbitTable(tau=tau, winding=winding, residual=residual, found=found)

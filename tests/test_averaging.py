@@ -298,17 +298,6 @@ def test_qt_many_matches_single_calls(well_eq, small_grid):
         assert np.array_equal(values, single.values[0])
 
 
-def test_qt_thread_count_invariance(well_eq, small_grid, monkeypatch):
-    # same chunking (17 nodes, so 64 nodes make 4 chunks), different
-    # thread counts: bitwise identical values
-    monkeypatch.setattr(averaging, "_CHUNK", 17)
-    g = _smooth_symbol(well_eq.fields.period)
-    base = _average(g, 0.2, small_grid, +1, well_eq.fields, CFG)
-    threaded = _average(g, 0.2, small_grid, +1, well_eq.fields,
-                        replace(CFG, threads=4))
-    assert np.array_equal(base.values, threaded.values)
-
-
 def test_qt_identity_limit_small_t(well_eq, small_grid):
     g = _smooth_symbol(well_eq.fields.period)
     g0 = g(small_grid.X, small_grid.V1, small_grid.V2)
@@ -366,6 +355,18 @@ def test_qt_propagates_drift_budget(well_eq, small_grid):
     cfg = replace(CFG, dt=0.5, drift_tol=1e-16)
     with pytest.raises(DriftExceeded):
         _average(g, 0.05, small_grid, +1, well_eq.fields, cfg)
+
+
+def test_config_rejects_steps_and_budgets_that_disarm_the_pass():
+    # an infinite step never reaches the next sample of the backward pass,
+    # a NaN budget switches the drift guard off, and a budget <= 0 would
+    # surface as DriftExceeded instead of a configuration error
+    for bad in ({"dt": np.inf}, {"dt": np.nan}, {"orbit_dt": np.inf},
+                {"orbit_dt": np.nan}, {"drift_tol": np.nan},
+                {"drift_tol": np.inf}, {"drift_tol": 0.0},
+                {"drift_tol": -1e-8}):
+        with pytest.raises(ConfigError):
+            AveragingConfig(**bad)
 
 
 # ---------------------------------------------------------------------------

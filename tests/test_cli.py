@@ -7,8 +7,8 @@ exit-code mapping, bitwise reproducibility).
 """
 
 import hashlib
+import importlib.util
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,6 @@ from vmstab.errors import ConfigError
 VACUUM = ["--set", "equilibrium.amplitude=0", "--set", "equilibrium.nx=16",
           "--set", "operators.quad_nv=4", "--set", "averaging.dt=5e-3",
           "--set", "equilibrium.nv=4", "--set", "equilibrium.v_max=5"]
-
-# small but genuine maxwellian pair for determinism runs
-SMALL_REAL = ["--set", "equilibrium.nx=16", "--set", "operators.quad_nv=6",
-              "--set", "operators.quad_v_max=6", "--set",
-              "averaging.dt=5e-3"]
 
 
 def _artifact_digests(out: Path) -> dict:
@@ -64,6 +59,24 @@ def test_zero_threads_rejected():
         validate_config(overrides=["averaging.threads=0"])
 
 
+def test_threads_other_than_one_rejected():
+    with pytest.raises(ConfigError, match="serial"):
+        validate_config(overrides=["averaging.threads=4"])
+
+
+def test_benchmark_overrides_validate():
+    # every override the benchmark passes must stay a valid key and value
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS:
+        for i in workloads.INSTANCES:
+            for size in workloads.SIZES:
+                for call in workloads.calls(w, i, size):
+                    validate_config(overrides=call["overrides"])
+
+
 def test_malformed_value_names_key_and_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("operators.k_max = soon\n")
@@ -97,9 +110,6 @@ def test_run_config_rejects_unknown_command(tmp_path):
     cfg = validate_config()
     with pytest.raises(ConfigError, match="command"):
         RunConfig(command="prove", resolved=cfg, out_dir=tmp_path)
-    with pytest.raises(ConfigError, match="threads"):
-        RunConfig(command="sweep", resolved=cfg, out_dir=tmp_path,
-                  threads=0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +122,17 @@ def test_unknown_key_exits_2(tmp_path):
 
 
 def test_zero_threads_exits_2(tmp_path):
-    assert main(["criterion", "--out", str(tmp_path), "--threads",
-                 "0"]) == 2
+    # there is no --threads flag: argparse rejects it as a usage error
+    for threads in ("0", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["criterion", "--out", str(tmp_path), "--threads", threads])
+        assert exc.value.code == 2
+
+
+def test_nan_drift_budget_exits_2(tmp_path):
+    # a NaN budget would switch the drift guard off
+    assert main(["criterion", "--out", str(tmp_path), "--set",
+                 "averaging.drift_tol=nan"] + VACUUM) == 2
 
 
 def test_negative_infinite_grid_end_exits_2(tmp_path):
@@ -192,29 +211,3 @@ def test_identical_configs_reproduce_bitwise(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert _artifact_digests(out_a) == _artifact_digests(out_b)
-
-
-def test_thread_count_does_not_change_artifacts(tmp_path, monkeypatch):
-    # 64-node batches split the 288 nodes per species five ways, and the
-    # 576 nodes of both species' orbit passes nine ways, so four threads
-    # really share the work
-    import vmstab._parallel
-    import vmstab.averaging
-    monkeypatch.setattr(vmstab.averaging, "_CHUNK", 64)
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(vmstab._parallel, "ThreadPoolExecutor", RecordingPool)
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
-        code = main(["criterion", "--out", str(out), "--threads",
-                     threads] + SMALL_REAL)
-        assert code == 0
-        outs.append(_artifact_digests(out))
-    assert outs[0] == outs[1]
-    assert pools and set(pools) == {4}
